@@ -1,6 +1,5 @@
-//! Ablation bench (extension, not a paper figure): scaling of the parallel
-//! full enumeration with the worker-thread count, for both scheduler
-//! engines (work-stealing vs the legacy global queue), against the
+//! Ablation bench (extension, not a paper figure): scaling of the
+//! work-stealing full enumeration with the worker-thread count, against the
 //! sequential `iTraversal` baseline on the same input. The machine-readable
 //! variant of this comparison is `src/bin/bench_parallel.rs`, which CI runs
 //! as the `bench-smoke` job.
@@ -25,26 +24,22 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    for (engine, label) in
-        [(Engine::GlobalQueue, "global_queue"), (Engine::WorkSteal, "work_steal")]
-    {
-        for threads in [1usize, 2, 4, 8] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
-                b.iter(|| {
-                    let mut sink = CountingSink::new();
-                    Enumerator::new(&g)
-                        .k(k)
-                        .engine(engine)
-                        .threads(threads)
-                        .run(&mut sink)
-                        .expect("valid");
-                    sink.count
-                });
+    for threads in [1usize, 2, 4, 8] {
+        group.bench_with_input(BenchmarkId::new("work_steal", threads), &threads, |b, &threads| {
+            b.iter(|| {
+                let mut sink = CountingSink::new();
+                Enumerator::new(&g)
+                    .k(k)
+                    .engine(Engine::WorkSteal)
+                    .threads(threads)
+                    .run(&mut sink)
+                    .expect("valid");
+                sink.count
             });
-        }
+        });
     }
 
-    // The ordering pass composed with the fastest engine.
+    // The ordering pass composed with the parallel engine.
     group.bench_function("work_steal_4t_degeneracy", |b| {
         b.iter(|| {
             let mut sink = CountingSink::new();

@@ -1,17 +1,21 @@
 //! Parallel-scaling benchmark with machine-readable output.
 //!
-//! Runs the sequential `iTraversal`, the legacy global-queue parallel
-//! engine and the work-stealing engine over a Chung–Lu stand-in graph at a
-//! list of thread counts, and writes the wall-clock numbers to a JSON file
-//! (`BENCH_parallel.json` by default). The CI `bench-smoke` job runs this on
-//! a tiny graph and uploads the JSON as a workflow artifact, so the
-//! performance trajectory of the scheduler accumulates across commits.
+//! Runs the sequential `iTraversal` and the work-stealing engine over a
+//! Chung–Lu stand-in graph at a list of thread counts, and writes the
+//! wall-clock numbers to a JSON file (`BENCH_parallel.json` by default),
+//! headed by `gap_1t`: work-steal at one thread ÷ sequential, the
+//! per-thread cost of the parallel engine. The CI `bench-smoke` job runs
+//! this on a tiny graph, gates `gap_1t` and uploads the JSON as a workflow
+//! artifact, so the performance trajectory of the scheduler accumulates
+//! across commits.
 //!
 //! Usage: `cargo run --release -p mbpe-bench --bin bench_parallel --
 //!         [--left 60] [--right 60] [--edges 240] [--gamma 2.2]
-//!         [--seed 7] [--k 1] [--iters 3] [--threads 1,2,4,8]
-//!         [--order degeneracy] [--seen-segments 0] [--steal-adaptive on]
-//!         [--out BENCH_parallel.json]`
+//!         [--seed 7] [--k 1] [--iters 3] [--threads 1,2,4]
+//!         [--order degeneracy] [--out BENCH_parallel.json]`
+//!
+//! `--threads` defaults to every count from 1 up to the machine's
+//! available parallelism.
 //!
 //! Power-law stand-ins pack a lot of MBPs per edge: the 60×60/240-edge
 //! default already enumerates ~20k solutions per run. Scale with care.
@@ -55,31 +59,27 @@ fn main() {
     let k: usize = args.get("k", 1usize);
     let iters: u32 = args.get("iters", 3u32);
     let out_path = args.get_str("out").unwrap_or("BENCH_parallel.json").to_string();
-    let threads_list: Vec<usize> = args
-        .get_str("threads")
-        .unwrap_or("1,2,4,8")
-        .split(',')
-        .map(|t| t.trim().parse().expect("--threads takes a comma-separated list"))
-        .collect();
-    let order: VertexOrder = args.get_str("order").unwrap_or("input").parse().expect("bad --order");
-    let seen_segments: usize = args.get("seen-segments", 0usize);
-    let steal_adaptive = match args.get_str("steal-adaptive").unwrap_or("on") {
-        "on" | "true" | "1" => true,
-        "off" | "false" | "0" => false,
-        other => panic!("--steal-adaptive expects on or off, got {other:?}"),
+    let threads_list: Vec<usize> = match args.get_str("threads") {
+        Some(list) => list
+            .split(',')
+            .map(|t| t.trim().parse().expect("--threads takes a comma-separated list"))
+            .collect(),
+        None => {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            (1..=cores).collect()
+        }
     };
+    let order: VertexOrder = args.get_str("order").unwrap_or("input").parse().expect("bad --order");
 
     let g = chung_lu_bipartite(left, right, edges, gamma, seed);
     eprintln!(
-        "graph: chung_lu |L|={} |R|={} |E|={} k={} iters={} order={} seen-segments={} steal-adaptive={}",
+        "graph: chung_lu |L|={} |R|={} |E|={} k={} iters={} order={}",
         g.num_left(),
         g.num_right(),
         g.num_edges(),
         k,
         iters,
-        order,
-        seen_segments,
-        steal_adaptive
+        order
     );
 
     let mut rows: Vec<Row> = Vec::new();
@@ -93,30 +93,24 @@ fn main() {
     eprintln!("sequential_itraversal: {secs:.4}s  {solutions} solutions");
     rows.push(Row { engine: "sequential", threads: 1, order, secs, solutions, steals: 0 });
 
-    for (engine, label) in
-        [(Engine::GlobalQueue, "global_queue"), (Engine::WorkSteal, "work_steal")]
-    {
-        for &threads in &threads_list {
-            let (secs, solutions, steals) = best_of(iters, || {
-                let mut e = Enumerator::new(&g).k(k).engine(engine).order(order).threads(threads);
-                if engine == Engine::WorkSteal {
-                    e = e.seen_segments(seen_segments).steal_adaptive(steal_adaptive);
-                }
-                let mut sink = CountingSink::new();
-                let report = e.run(&mut sink).expect("valid configuration");
-                match report.stats {
-                    EngineStats::Parallel(stats) => (stats.solutions, stats.steals),
-                    _ => unreachable!("parallel engines report parallel stats"),
-                }
-            });
-            eprintln!("{label} x{threads}: {secs:.4}s  {solutions} solutions  {steals} steals");
-            rows.push(Row { engine: label, threads, order, secs, solutions, steals });
-        }
+    for &threads in &threads_list {
+        let (secs, solutions, steals) = best_of(iters, || {
+            let e =
+                Enumerator::new(&g).k(k).engine(Engine::WorkSteal).order(order).threads(threads);
+            let mut sink = CountingSink::new();
+            let report = e.run(&mut sink).expect("valid configuration");
+            match report.stats {
+                EngineStats::Parallel(stats) => (stats.solutions, stats.steals),
+                _ => unreachable!("the parallel engine reports parallel stats"),
+            }
+        });
+        eprintln!("work_steal x{threads}: {secs:.4}s  {solutions} solutions  {steals} steals");
+        rows.push(Row { engine: "work_steal", threads, order, secs, solutions, steals });
     }
 
     let kernel_rows = kernel_microbench(iters, seed);
 
-    let json = render_json(&g, k, iters, seen_segments, steal_adaptive, &rows, &kernel_rows);
+    let json = render_json(&g, k, iters, &rows, &kernel_rows);
     std::fs::write(&out_path, json).expect("write bench json");
     eprintln!("wrote {out_path}");
 }
@@ -223,8 +217,6 @@ fn render_json(
     g: &BipartiteGraph,
     k: usize,
     iters: u32,
-    seen_segments: usize,
-    steal_adaptive: bool,
     rows: &[Row],
     kernel_rows: &[KernelRow],
 ) -> String {
@@ -242,8 +234,12 @@ fn render_json(
     );
     let _ = writeln!(s, "  \"k\": {k},");
     let _ = writeln!(s, "  \"iters\": {iters},");
-    let _ = writeln!(s, "  \"seen_segments\": {seen_segments},");
-    let _ = writeln!(s, "  \"steal_adaptive\": {steal_adaptive},");
+    // The per-thread gap: work-steal at one thread ÷ sequential (null when
+    // the thread list skips 1).
+    let seq = secs_of("sequential", 1);
+    let gap_1t = secs_of("work_steal", 1).zip(seq).map(|(ws, seq)| ws / seq);
+    let _ =
+        writeln!(s, "  \"gap_1t\": {},", gap_1t.map_or("null".to_string(), |v| format!("{v:.3}")));
     s.push_str("  \"runs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -254,13 +250,10 @@ fn render_json(
         );
     }
     s.push_str("  ],\n");
-    // Headline ratios: work-steal speedup over the global queue at the same
-    // thread count, and over the sequential baseline.
-    let seq = secs_of("sequential", 1);
+    // Headline ratios: work-steal speedup over the sequential baseline.
     s.push_str("  \"speedups\": {");
     let mut first = true;
     for r in rows.iter().filter(|r| r.engine == "work_steal") {
-        let vs_global = secs_of("global_queue", r.threads).map(|g| g / r.secs);
         let vs_seq = seq.map(|g| g / r.secs);
         if !first {
             s.push(',');
@@ -268,9 +261,8 @@ fn render_json(
         first = false;
         let _ = write!(
             s,
-            "\n    \"t{}\": {{\"vs_global_queue\": {}, \"vs_sequential\": {}}}",
+            "\n    \"t{}\": {{\"vs_sequential\": {}}}",
             r.threads,
-            vs_global.map_or("null".to_string(), |v| format!("{v:.3}")),
             vs_seq.map_or("null".to_string(), |v| format!("{v:.3}"))
         );
     }

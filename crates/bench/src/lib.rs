@@ -327,14 +327,26 @@ impl Args {
         args
     }
 
-    /// Value of `--name` parsed as `T`, or `default`.
+    /// Value of `--name` parsed as `T`, or `default` when the flag is
+    /// absent. A value that does not parse is a usage error: the process
+    /// names the flag and exits with status 2 instead of silently running
+    /// with the default.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(name, default).unwrap_or_else(|msg| {
+            eprintln!("usage error: {msg}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::get`] without the exit: `Err` carries the usage message for
+    /// a value of `--name` that does not parse as `T`.
+    pub fn try_get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.get_str(name) {
+            None => Ok(default),
+            Some(raw) => raw.parse().map_err(|_| {
+                format!("--{name} expects a {}, got {raw:?}", std::any::type_name::<T>())
+            }),
+        }
     }
 
     /// String value of `--name`.
@@ -472,6 +484,15 @@ mod tests {
         assert!(args.has("huge"));
         assert!(!args.has("absent"));
         assert_eq!(args.get_str("dataset"), Some("Writer"));
+    }
+
+    #[test]
+    fn unparsable_values_are_usage_errors_not_defaults() {
+        let args = Args::from_tokens(["--edges", "1e6", "--k", "2"].iter().map(|s| s.to_string()));
+        let err = args.try_get::<u64>("edges", 240).unwrap_err();
+        assert!(err.contains("--edges") && err.contains("1e6"), "{err}");
+        assert_eq!(args.try_get::<usize>("k", 1), Ok(2));
+        assert_eq!(args.try_get::<usize>("missing", 7), Ok(7));
     }
 
     #[test]

@@ -33,26 +33,20 @@ OPTIONS:
     --algo <A>          itraversal (default) | btraversal | large | imb |
                         inflation | parallel
     --limit <N>         Stop after delivering exactly N solutions (all
-                        engines — the parallel schedulers cancel
+                        engines — the parallel workers cancel
                         cooperatively)
     --first <N>         Deprecated alias of --limit
     --time-budget <S>   Stop at the first solution after S seconds
                         (fractions allowed; not for imb/inflation)
     --theta-left <N>    Only report MBPs with at least N left vertices
     --theta-right <N>   Only report MBPs with at least N right vertices
-    --threads <T>       Worker threads for --algo parallel (0 = auto)
+    --threads <T>       Worker threads for --algo parallel, the
+                        work-stealing engine (0 = auto)
     --order <O>         Vertex relabeling pass: input (default) | degree |
                         degeneracy (itraversal, btraversal, large, parallel)
     --kernel <K>        Intersection kernel: auto (default, crossover
                         heuristic) | merge | gallop | chunked | bitset —
                         an A/B switch, the solution set never changes
-    --engine <E>        Parallel scheduler: steal (default) | global
-    --seen-segments <N> Initial segment count of the parallel seen-set's
-                        bucket directory (0 = auto-size from the graph;
-                        it grows under load either way; steal engine only)
-    --steal-adaptive <B>  on (default) | off — steal one item from shallow
-                        victim deques instead of always half (steal engine
-                        only)
     --count-only        Print only the number of solutions
     --print             Print every reported solution (L= ... R= ...)
     --dataset/--scale/--full   Input selection, as for `mbpe stats`";
@@ -70,9 +64,6 @@ const OPTIONS: &[&str] = &[
     "threads",
     "order",
     "kernel",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "count-only",
     "print",
     "dataset",
@@ -114,22 +105,11 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     writeln!(out, "graph: {label}  k = {}  algorithm = {algo_label}", query.k)?;
     if let EngineStats::Parallel(stats) = &report.stats {
-        let engine_name = match query.engine {
-            Engine::GlobalQueue => "GlobalQueue",
-            _ => "WorkSteal",
-        };
-        let mut info = format!(
-            "parallel: threads = {}  engine = {}  order = {}  steals = {}",
-            stats.threads, engine_name, query.order, stats.steals
-        );
-        if query.engine == Engine::WorkSteal {
-            let adaptive = if query.steal_adaptive { "on" } else { "off" };
-            info.push_str(&format!(
-                "  seen-segments = {}  steal-adaptive = {adaptive}",
-                query.seen_segments
-            ));
-        }
-        writeln!(out, "{info}")?;
+        writeln!(
+            out,
+            "parallel: threads = {}  order = {}  steals = {}",
+            stats.threads, query.order, stats.steals
+        )?;
     }
     print_summary(&args, out, solutions.len(), &report.stop.to_string(), report.elapsed, &solutions)
 }
@@ -399,70 +379,47 @@ mod tests {
             let text = capture(&["--dataset", "Divorce", "--k", "1", "--order", order]).unwrap();
             assert_eq!(parse(&text), parse(&baseline), "order {order}");
         }
-        for engine in ["steal", "global"] {
-            let text = capture(&[
-                "--dataset",
-                "Divorce",
-                "--k",
-                "1",
-                "--algo",
-                "parallel",
-                "--threads",
-                "2",
-                "--engine",
-                engine,
-                "--order",
-                "degeneracy",
-            ])
-            .unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "engine {engine}");
-            assert!(text.contains("parallel: threads = 2"), "engine {engine}");
-        }
+        let text = capture(&[
+            "--dataset",
+            "Divorce",
+            "--k",
+            "1",
+            "--algo",
+            "parallel",
+            "--threads",
+            "2",
+            "--order",
+            "degeneracy",
+        ])
+        .unwrap();
+        assert_eq!(parse(&text), parse(&baseline));
+        assert!(text.contains("parallel: threads = 2  order = degeneracy"), "{text}");
         assert!(capture(&["--dataset", "Divorce", "--order", "fancy"]).is_err());
         assert!(capture(&["--dataset", "Divorce", "--algo", "imb", "--order", "degree"]).is_err());
-        assert!(
-            capture(&["--dataset", "Divorce", "--algo", "parallel", "--engine", "bogus"]).is_err()
-        );
-        // --engine on a sequential algorithm is a usage error, not a no-op.
-        assert!(capture(&["--dataset", "Divorce", "--engine", "steal"]).is_err());
+        // `--algo parallel` is the work-stealing engine; the scheduler
+        // selector is gone, so `--engine` is an unknown option everywhere.
+        for engine in ["steal", "global"] {
+            let parallel = &["--dataset", "Divorce", "--algo", "parallel", "--engine", engine];
+            assert!(capture(parallel).is_err(), "--engine {engine}");
+            assert!(capture(&["--dataset", "Divorce", "--engine", engine]).is_err());
+        }
     }
 
     #[test]
     fn seen_and_steal_knobs() {
-        let baseline = capture(&["--dataset", "Divorce", "--k", "1"]).unwrap();
-        for (segments, adaptive) in [("0", "on"), ("1", "off"), ("4", "on")] {
-            let text = capture(&[
-                "--dataset",
-                "Divorce",
-                "--k",
-                "1",
-                "--algo",
-                "parallel",
-                "--threads",
-                "4",
-                "--seen-segments",
-                segments,
-                "--steal-adaptive",
-                adaptive,
-            ])
-            .unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "segments {segments} adaptive {adaptive}");
-            assert!(text.contains(&format!("seen-segments = {segments}")), "knobs echoed: {text}");
-            assert!(text.contains(&format!("steal-adaptive = {adaptive}")), "knobs echoed: {text}");
+        // The seen-set geometry and the steal granularity are no longer
+        // settable: the work-stealer sizes its seen-set from the graph and
+        // always steals adaptively. The retired flags are usage errors on
+        // every algorithm, and the run header no longer echoes them.
+        for algo in ["parallel", "itraversal", "imb"] {
+            for (flag, value) in [("--seen-segments", "2"), ("--steal-adaptive", "off")] {
+                let argv = &["--dataset", "Divorce", "--algo", algo, flag, value];
+                assert!(capture(argv).is_err(), "--algo {algo} {flag}");
+            }
         }
-        // Bad values and sequential algorithms are usage errors, not no-ops.
-        let bad = &["--dataset", "Divorce", "--algo", "parallel", "--steal-adaptive", "maybe"];
-        assert!(capture(bad).is_err());
-        assert!(capture(&["--dataset", "Divorce", "--seen-segments", "2"]).is_err());
-        assert!(capture(&["--dataset", "Divorce", "--steal-adaptive", "off"]).is_err());
-        // So is combining the knobs with the global-queue engine, which has
-        // its own sharded seen-set and no steal path.
-        let global = &["--dataset", "Divorce", "--algo", "parallel", "--engine", "global"];
-        assert!(capture(&[global as &[_], &["--seen-segments", "2"]].concat()).is_err());
-        assert!(capture(&[global as &[_], &["--steal-adaptive", "off"]].concat()).is_err());
-        // The global engine's run header omits the inapplicable knobs.
-        let text = capture(global).unwrap();
-        assert!(text.contains("engine = GlobalQueue"), "{text}");
-        assert!(!text.contains("seen-segments"), "{text}");
+        let text =
+            capture(&["--dataset", "Divorce", "--algo", "parallel", "--threads", "2"]).unwrap();
+        assert!(text.contains("steals = "), "{text}");
+        assert!(!text.contains("seen-segments") && !text.contains("steal-adaptive"), "{text}");
     }
 }

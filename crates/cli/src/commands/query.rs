@@ -37,8 +37,7 @@ OPTIONS:
 The query-shaping options below are listed by `mbpe help enumerate` and
 mean the same thing here (the server runs the identical QuerySpec):
     --spec --k --algo --limit --first --time-budget --theta-left
-    --theta-right --threads --order --engine --seen-segments
-    --steal-adaptive --kernel";
+    --theta-right --threads --order --kernel";
 
 const OPTIONS: &[&str] = &[
     "addr",
@@ -60,9 +59,6 @@ const OPTIONS: &[&str] = &[
     "theta-right",
     "threads",
     "order",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "kernel",
 ];
 const FLAGS: &[&str] = &["ping", "count-only", "print", "show-spec"];

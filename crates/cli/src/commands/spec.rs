@@ -25,9 +25,6 @@ pub const SPEC_OPTIONS: &[&str] = &[
     "theta-right",
     "threads",
     "order",
-    "engine",
-    "seen-segments",
-    "steal-adaptive",
     "kernel",
 ];
 
@@ -69,38 +66,14 @@ pub fn parse_limit(args: &Args) -> Result<Option<u64>, CliError> {
     }
 }
 
-fn parse_steal_adaptive(args: &Args) -> Result<bool, CliError> {
-    match args.value("steal-adaptive") {
-        None | Some("on" | "true" | "1") => Ok(true),
-        Some("off" | "false" | "0") => Ok(false),
-        Some(raw) => {
-            Err(CliError::Usage(format!("--steal-adaptive expects on or off, got {raw:?}")))
-        }
-    }
-}
-
-/// Rejects the parallel-only knobs when `algo` is not `parallel`, and the
-/// steal-only knobs on the global-queue engine. Shared with the baseline
-/// paths of `enumerate`, which never build a spec.
+/// Rejects the parallel-only knob (`--threads`) when `algo` is not
+/// `parallel`. Shared with the baseline paths of `enumerate`, which never
+/// build a spec.
 pub fn reject_misplaced_engine_knobs(args: &Args, algo: &str) -> Result<(), CliError> {
-    for opt in ["engine", "seen-segments", "steal-adaptive"] {
-        if args.value(opt).is_some() && algo != "parallel" {
-            return Err(CliError::Usage(format!(
-                "--{opt} only applies to --algo parallel (got --algo {algo})"
-            )));
-        }
-    }
-    // The global-queue engine has its own mutex-sharded seen-set and no
-    // steal path; silently accepting (and echoing) the knobs would present
-    // a no-op as applied.
-    if algo == "parallel" && args.value("engine") == Some("global") {
-        for opt in ["seen-segments", "steal-adaptive"] {
-            if args.value(opt).is_some() {
-                return Err(CliError::Usage(format!(
-                    "--{opt} only applies to --engine steal (got --engine global)"
-                )));
-            }
-        }
+    if args.value("threads").is_some() && algo != "parallel" {
+        return Err(CliError::Usage(format!(
+            "--threads only applies to --algo parallel (got --algo {algo})"
+        )));
     }
     Ok(())
 }
@@ -148,20 +121,8 @@ pub fn spec_from_args(args: &Args) -> Result<QuerySpec, CliError> {
         "large" => spec.algorithm = Algorithm::Large,
         "parallel" => {
             spec.algorithm = Algorithm::ITraversal;
-            spec.engine = match args.value("engine") {
-                None | Some("steal") => Engine::WorkSteal,
-                Some("global") => Engine::GlobalQueue,
-                Some(raw) => {
-                    return Err(CliError::Usage(format!(
-                        "--engine expects steal or global, got {raw:?}"
-                    )))
-                }
-            };
+            spec.engine = Engine::WorkSteal;
             spec.threads = args.parse_or("threads", 0)?;
-            if spec.engine == Engine::WorkSteal {
-                spec.seen_segments = args.parse_or("seen-segments", 0)?;
-                spec.steal_adaptive = parse_steal_adaptive(args)?;
-            }
         }
         other => {
             return Err(CliError::Usage(format!(
@@ -205,17 +166,15 @@ mod tests {
         let spec = spec_from_args(&args(&["--algo", "parallel", "--threads", "2"], &[])).unwrap();
         assert_eq!(spec.engine, Engine::WorkSteal);
         assert_eq!(spec.threads, 2);
-        let spec =
-            spec_from_args(&args(&["--algo", "parallel", "--engine", "global"], &[])).unwrap();
-        assert_eq!(spec.engine, Engine::GlobalQueue);
+        let spec = spec_from_args(&args(&["--algo", "itraversal"], &[])).unwrap();
+        assert_eq!(spec.engine, Engine::Sequential);
     }
 
     #[test]
     fn misplaced_knobs_are_usage_errors() {
-        assert!(spec_from_args(&args(&["--engine", "steal"], &[])).is_err());
-        assert!(spec_from_args(&args(&["--seen-segments", "2"], &[])).is_err());
-        let global = &["--algo", "parallel", "--engine", "global", "--steal-adaptive", "off"];
-        assert!(spec_from_args(&args(global, &[])).is_err());
+        assert!(spec_from_args(&args(&["--threads", "2"], &[])).is_err());
+        assert!(spec_from_args(&args(&["--algo", "large", "--threads", "2"], &[])).is_err());
+        assert!(spec_from_args(&args(&["--algo", "parallel", "--threads", "2"], &[])).is_ok());
     }
 
     #[test]
@@ -234,5 +193,11 @@ mod tests {
     fn bad_spec_document_is_a_usage_error() {
         assert!(spec_from_args(&args(&["--spec", "{"], &[])).is_err());
         assert!(spec_from_args(&args(&["--spec", r#"{"warp":9}"#], &[])).is_err());
+        // Retired engine codes and scheduler keys are rejected, not ignored.
+        for doc in
+            [r#"{"engine":"global"}"#, r#"{"seen_segments":2}"#, r#"{"steal_adaptive":false}"#]
+        {
+            assert!(spec_from_args(&args(&["--spec", doc], &[])).is_err(), "{doc}");
+        }
     }
 }

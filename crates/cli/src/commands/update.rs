@@ -38,7 +38,7 @@ OPTIONS:
     --k <K>             Miss budget k (default 1)
     --theta-left <N>    Minimum left size of maintained solutions (default 0)
     --theta-right <N>   Minimum right size of maintained solutions (default 0)
-    --engine <E>        Re-enumeration engine: seq (default) | steal | global
+    --engine <E>        Re-enumeration engine: seq (default) | steal
     --threads <T>       Worker threads for parallel engines (0 = auto)
     --print-diffs       Print every added/removed solution
     --verify            After every update, re-enumerate from scratch and
@@ -110,11 +110,8 @@ pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let engine = match args.value("engine") {
         None | Some("seq") | Some("sequential") => Engine::Sequential,
         Some("steal") => Engine::WorkSteal,
-        Some("global") => Engine::GlobalQueue,
         Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--engine expects seq, steal or global, got {other:?}"
-            )))
+            return Err(CliError::Usage(format!("--engine expects seq or steal, got {other:?}")))
         }
     };
 
@@ -321,9 +318,11 @@ mod tests {
             capture(&["--dataset", "Divorce", "--script", "a", "--random", "2"]).is_err(),
             "--script and --random are exclusive"
         );
-        assert!(
-            capture(&["--dataset", "Divorce", "--random", "1", "--engine", "warp"]).is_err(),
-            "bad engine"
-        );
+        for engine in ["warp", "global"] {
+            assert!(
+                capture(&["--dataset", "Divorce", "--random", "1", "--engine", engine]).is_err(),
+                "bad engine {engine}"
+            );
+        }
     }
 }

@@ -77,7 +77,7 @@ fn first_is_a_deprecated_alias_of_limit() {
 }
 
 #[test]
-fn parallel_seen_and_steal_flags_match_the_sequential_count() {
+fn parallel_thread_counts_match_the_sequential_count() {
     let sequential = run(&["enumerate", &tiny_graph(), "--k", "1", "--count-only"]);
     let count = |text: &str| -> usize {
         text.lines()
@@ -85,7 +85,7 @@ fn parallel_seen_and_steal_flags_match_the_sequential_count() {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("no solution count in: {text}"))
     };
-    for (segments, adaptive) in [("0", "on"), ("1", "off"), ("2", "on"), ("1", "on")] {
+    for threads in ["1", "2", "4"] {
         let text = run(&[
             "enumerate",
             &tiny_graph(),
@@ -94,22 +94,13 @@ fn parallel_seen_and_steal_flags_match_the_sequential_count() {
             "--algo",
             "parallel",
             "--threads",
-            "4",
-            "--seen-segments",
-            segments,
-            "--steal-adaptive",
-            adaptive,
+            threads,
             "--count-only",
         ]);
-        assert_eq!(
-            count(&text),
-            count(&sequential),
-            "--seen-segments {segments} --steal-adaptive {adaptive}: {text}"
-        );
+        assert_eq!(count(&text), count(&sequential), "--threads {threads}: {text}");
         assert!(
-            text.contains(&format!("seen-segments = {segments}"))
-                && text.contains(&format!("steal-adaptive = {adaptive}")),
-            "run header echoes the knobs: {text}"
+            text.contains(&format!("parallel: threads = {threads}")),
+            "run header echoes the thread count: {text}"
         );
     }
 }

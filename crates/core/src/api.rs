@@ -74,7 +74,7 @@ use crate::biplex::Biplex;
 use crate::bruteforce::brute_force_mbps;
 use crate::enum_almost_sat::EnumKind;
 use crate::large::{par_run_large, run_large, LargeMbpParams};
-use crate::parallel::{par_run, ParRuntime, ParallelConfig, ParallelEngine, ParallelStats};
+use crate::parallel::{par_run, ParRuntime, ParallelConfig, ParallelStats};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -85,8 +85,8 @@ use crate::traversal::{traverse, Anchor, EmitMode, TraversalConfig};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Algorithm {
     /// The paper's full `iTraversal` (left-anchored + right-shrinking +
-    /// exclusion strategy). On a parallel engine the order-dependent
-    /// exclusion strategy is disabled (`iTraversal-ES`); the reported
+    /// exclusion strategy). On the work-stealing engine the order-dependent
+    /// exclusion set ℰ(H) shrinks to its host-local slice; the reported
     /// solution *set* is identical.
     #[default]
     ITraversal,
@@ -107,7 +107,7 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
-    /// `true` for the `iTraversal`-family algorithms the parallel engines
+    /// `true` for the `iTraversal`-family algorithms the parallel engine
     /// can execute.
     fn parallelisable(self) -> bool {
         matches!(self, Algorithm::ITraversal | Algorithm::ITraversalNoExclusion | Algorithm::Large)
@@ -155,8 +155,6 @@ pub enum Engine {
     /// Single-threaded, in the calling thread (default).
     #[default]
     Sequential,
-    /// The mutex+condvar global-queue scheduler (benchmark baseline).
-    GlobalQueue,
     /// The work-stealing scheduler (per-worker deques, lock-free seen-set).
     WorkSteal,
 }
@@ -165,7 +163,6 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Engine::Sequential => "sequential",
-            Engine::GlobalQueue => "global",
             Engine::WorkSteal => "steal",
         };
         f.write_str(name)
@@ -179,10 +176,7 @@ impl std::str::FromStr for Engine {
         match s {
             "sequential" | "seq" => Ok(Engine::Sequential),
             "steal" | "work-steal" => Ok(Engine::WorkSteal),
-            "global" | "global-queue" => Ok(Engine::GlobalQueue),
-            other => {
-                Err(format!("unknown engine {other:?} (expected sequential, steal or global)"))
-            }
+            other => Err(format!("unknown engine {other:?} (expected sequential or steal)")),
         }
     }
 }
@@ -239,7 +233,7 @@ impl std::str::FromStr for StopReason {
 pub enum EngineStats {
     /// A sequential traversal run (also used by [`Algorithm::Large`]).
     Sequential(TraversalStats),
-    /// A parallel run (work-stealing or global-queue engine).
+    /// A parallel (work-stealing) run.
     Parallel(ParallelStats),
     /// An asymmetric enumeration run.
     Asym(AsymStats),
@@ -371,12 +365,8 @@ pub struct QuerySpec {
     pub theta_right: usize,
     /// (θ−k)-core reduction toggle of [`Algorithm::Large`].
     pub core_reduction: Option<bool>,
-    /// Worker threads of the parallel engines (0 = auto).
+    /// Worker threads of the parallel engine (0 = auto).
     pub threads: usize,
-    /// Initial seen-set segments of [`Engine::WorkSteal`] (0 = auto).
-    pub seen_segments: usize,
-    /// Adaptive steal granularity of [`Engine::WorkSteal`] (default on).
-    pub steal_adaptive: bool,
     /// Stop after delivering exactly this many solutions.
     pub limit: Option<u64>,
     /// Stop once this much wall-clock time has elapsed.
@@ -404,8 +394,6 @@ impl Default for QuerySpec {
             theta_right: 0,
             core_reduction: None,
             threads: 0,
-            seen_segments: 0,
-            steal_adaptive: true,
             limit: None,
             time_budget: None,
             stream_buffer: 256,
@@ -514,29 +502,15 @@ impl<'g> Enumerator<'g> {
         self
     }
 
-    /// Worker thread count for the parallel engines (`0` = auto, default).
+    /// Worker thread count for the parallel engine (`0` = auto, default).
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = threads;
         self
     }
 
-    /// Initial segment count of the work-stealing engine's seen-set
-    /// directory (`0` = size from the graph, default).
-    pub fn seen_segments(mut self, segments: usize) -> Self {
-        self.spec.seen_segments = segments;
-        self
-    }
-
-    /// Toggles adaptive steal granularity on the work-stealing engine
-    /// (default on).
-    pub fn steal_adaptive(mut self, adaptive: bool) -> Self {
-        self.spec.steal_adaptive = adaptive;
-        self
-    }
-
     /// Stops the run after delivering exactly `n` solutions — the paper's
     /// "first N results" experiments. Works on every engine: the parallel
-    /// schedulers observe the shared cancellation flag at steal/expand
+    /// workers observe the shared cancellation flag at steal/expand
     /// boundaries.
     pub fn limit(mut self, n: u64) -> Self {
         self.spec.limit = Some(n);
@@ -626,17 +600,7 @@ impl<'g> Enumerator<'g> {
         }
         if s.threads != 0 && s.engine == Engine::Sequential {
             return Err(ApiError::InvalidConfig(
-                "threads only applies to the parallel engines".to_string(),
-            ));
-        }
-        if s.seen_segments != 0 && s.engine != Engine::WorkSteal {
-            return Err(ApiError::InvalidConfig(
-                "seen_segments only applies to Engine::WorkSteal".to_string(),
-            ));
-        }
-        if !s.steal_adaptive && s.engine != Engine::WorkSteal {
-            return Err(ApiError::InvalidConfig(
-                "steal_adaptive only applies to Engine::WorkSteal".to_string(),
+                "threads only applies to the parallel engine".to_string(),
             ));
         }
         if s.algorithm == Algorithm::BruteForce
@@ -935,32 +899,25 @@ fn traversal_config(spec: &QuerySpec, deadline: Option<Instant>) -> TraversalCon
 
 /// Builds the parallel configuration of a spec.
 fn parallel_config(spec: &QuerySpec) -> ParallelConfig {
-    let engine = match spec.engine {
-        Engine::WorkSteal => ParallelEngine::WorkSteal,
-        Engine::GlobalQueue => ParallelEngine::GlobalQueue,
-        Engine::Sequential => unreachable!("sequential runs never build a ParallelConfig"),
-    };
     ParallelConfig::new(spec.k)
         .with_threads(spec.threads)
         .with_enum_kind(spec.enum_kind)
         .with_thresholds(spec.theta_left, spec.theta_right)
         .with_order(spec.order)
-        .with_engine(engine)
-        .with_seen_segments(spec.seen_segments)
-        .with_steal_adaptive(spec.steal_adaptive)
         .with_kernel(spec.kernel)
 }
 
 /// Runs a validated spec to completion. Infallible: every configuration
 /// error was caught by [`Enumerator::validate`].
 ///
-/// `incremental` selects how the parallel engines deliver: `true` streams
+/// `incremental` selects how the parallel engine delivers: `true` streams
 /// every solution through the gate as it is discovered (required for
 /// [`Enumerator::stream`] and whenever a limit or time budget must be able
-/// to cancel the workers mid-run); `false` lets the engines keep their
-/// batched result hand-off (one lock per `result_batch` solutions instead
-/// of one gate lock per solution) and feeds the collected set through the
-/// gate afterwards — the fast path for full enumerations.
+/// to cancel the workers mid-run); `false` lets the workers keep their
+/// batched result hand-off (one lock per
+/// [`RESULT_BATCH`](crate::parallel::work_steal::RESULT_BATCH) solutions
+/// instead of one gate lock per solution) and feeds the collected set
+/// through the gate afterwards — the fast path for full enumerations.
 fn execute(
     g: &BipartiteGraph,
     spec: &QuerySpec,
@@ -1031,7 +988,10 @@ fn execute(
         (_, _) => {
             let emit = |b: &Biplex| gate.offer(b);
             let rt = parallel_runtime(incremental, &emit, cancel, deadline);
-            let (collected, stats) = par_run(g, &parallel_config(spec), &rt);
+            // The algorithm picks the exclusion policy: the host-local slice
+            // of ℰ(H) for iTraversal, none for the iTraversal-ES ablation.
+            let exclusion = spec.algorithm == Algorithm::ITraversal;
+            let (collected, stats) = par_run(g, &parallel_config(spec), exclusion, &rt);
             feed_collected(&gate, &collected);
             (EngineStats::Parallel(stats), None)
         }
@@ -1076,8 +1036,8 @@ fn reduced_info(size: (u32, u32), edges: u64) -> ReducedGraph {
 /// Builds the engine-side runtime of a parallel run. Incremental runs (a
 /// limit, a time budget or a stream) deliver through the gate and poll the
 /// shared flag and the deadline at scheduling boundaries; plain full
-/// enumerations pass no hooks at all, keeping the engines' batched result
-/// hand-off and (on the global queue) the blocking condvar wait.
+/// enumerations pass no hooks at all, keeping the workers' batched result
+/// hand-off.
 fn parallel_runtime<'a>(
     incremental: bool,
     emit: &'a (dyn Fn(&Biplex) -> Control + Sync),
@@ -1143,13 +1103,11 @@ mod tests {
             let got = collect(&Enumerator::new(&g).k(k).algorithm(algorithm));
             assert_eq!(got, expected, "{algorithm}");
         }
-        for engine in [Engine::WorkSteal, Engine::GlobalQueue] {
-            for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
-                let got = collect(
-                    &Enumerator::new(&g).k(k).algorithm(algorithm).engine(engine).threads(3),
-                );
-                assert_eq!(got, expected, "{algorithm} on {engine}");
-            }
+        for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
+            let got = collect(
+                &Enumerator::new(&g).k(k).algorithm(algorithm).engine(Engine::WorkSteal).threads(3),
+            );
+            assert_eq!(got, expected, "{algorithm} on the work-stealer");
         }
     }
 
@@ -1159,7 +1117,7 @@ mod tests {
         let k = 1;
         let total = collect(&Enumerator::new(&g).k(k)).len() as u64;
         assert!(total > 4);
-        for engine in [Engine::Sequential, Engine::WorkSteal, Engine::GlobalQueue] {
+        for engine in [Engine::Sequential, Engine::WorkSteal] {
             for limit in [0u64, 1, 3] {
                 let mut sink = CollectSink::new();
                 let e = Enumerator::new(&g).k(k).engine(engine).limit(limit);
@@ -1216,7 +1174,7 @@ mod tests {
     fn stream_matches_run_and_supports_early_drop() {
         let g = random_graph(6, 6, 0.5, 7);
         let expected = collect(&Enumerator::new(&g));
-        for engine in [Engine::Sequential, Engine::WorkSteal, Engine::GlobalQueue] {
+        for engine in [Engine::Sequential, Engine::WorkSteal] {
             let e = Enumerator::new(&g).engine(engine);
             let e = if engine == Engine::Sequential { e } else { e.threads(2) };
             let mut got: Vec<Biplex> = e.stream().unwrap().collect();
@@ -1263,7 +1221,7 @@ mod tests {
             ApiError::Unsupported(_)
         ));
         assert!(matches!(
-            err(Enumerator::new(&g).algorithm(Algorithm::BTraversal).engine(Engine::GlobalQueue)),
+            err(Enumerator::new(&g).algorithm(Algorithm::BTraversal).engine(Engine::WorkSteal)),
             ApiError::Unsupported(_)
         ));
         assert!(matches!(
@@ -1275,11 +1233,6 @@ mod tests {
             ApiError::Unsupported(_)
         ));
         assert!(matches!(err(Enumerator::new(&g).threads(2)), ApiError::InvalidConfig(_)));
-        assert!(matches!(err(Enumerator::new(&g).seen_segments(2)), ApiError::InvalidConfig(_)));
-        assert!(matches!(
-            err(Enumerator::new(&g).steal_adaptive(false).engine(Engine::GlobalQueue)),
-            ApiError::InvalidConfig(_)
-        ));
         assert!(matches!(
             err(Enumerator::new(&g).core_reduction(false)),
             ApiError::InvalidConfig(_)
@@ -1307,7 +1260,7 @@ mod tests {
         ] {
             assert_eq!(algorithm.to_string().parse::<Algorithm>().unwrap(), algorithm);
         }
-        for engine in [Engine::Sequential, Engine::GlobalQueue, Engine::WorkSteal] {
+        for engine in [Engine::Sequential, Engine::WorkSteal] {
             assert_eq!(engine.to_string().parse::<Engine>().unwrap(), engine);
         }
         assert!("quantum".parse::<Algorithm>().is_err());

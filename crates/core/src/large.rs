@@ -110,8 +110,8 @@ pub struct ParLargeMbpReport {
 }
 
 /// The parallel large-MBP pipeline behind the facade: the same (θ−k)-core
-/// reduction, then the parallel engines with the size thresholds pushed into
-/// the search. In collect mode (no emit hook on `rt`) the large MBPs come
+/// reduction, then the work-stealing engine (with the host-local exclusion
+/// slice) and the size thresholds pushed into the search. In collect mode (no emit hook on `rt`) the large MBPs come
 /// back in original ids, sorted canonically; in streaming mode they go
 /// through the emit hook (already translated) and the vector is empty.
 pub(crate) fn par_run_large(
@@ -126,7 +126,7 @@ pub(crate) fn par_run_large(
     config.theta_right = params.theta_right;
 
     if !params.core_reduction {
-        let (mut solutions, stats) = par_run(g, &config, rt);
+        let (mut solutions, stats) = par_run(g, &config, true, rt);
         solutions.sort();
         let report = ParLargeMbpReport {
             stats,
@@ -147,10 +147,10 @@ pub(crate) fn par_run_large(
             emit(&Biplex::new(left, right))
         };
         let mapped_rt = ParRuntime { emit: Some(&mapping_emit), ..*rt };
-        let (_, stats) = par_run(&reduced.graph, &config, &mapped_rt);
+        let (_, stats) = par_run(&reduced.graph, &config, true, &mapped_rt);
         (Vec::new(), stats)
     } else {
-        let (solutions, stats) = par_run(&reduced.graph, &config, rt);
+        let (solutions, stats) = par_run(&reduced.graph, &config, true, rt);
         let mut mapped: Vec<Biplex> = solutions
             .into_iter()
             .map(|b| {

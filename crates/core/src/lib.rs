@@ -36,7 +36,8 @@
 //! * [`traversal`] — the reverse-search engine implementing both
 //!   `bTraversal` (Algorithm 1) and `iTraversal` (Algorithm 2) with the
 //!   left-anchored, right-shrinking and exclusion-strategy prunings as
-//!   individually toggleable options.
+//!   individually toggleable options. Its expansion step, the
+//!   `iThreeStep`, is one function shared with the parallel engine.
 //! * [`mod@enum_almost_sat`] — the `EnumAlmostSat` procedure (Section 4) in its
 //!   four refined variants plus the inflation-based baseline (Figure 12).
 //! * [`large`] — large-MBP enumeration with size thresholds (Section 5).
@@ -70,6 +71,7 @@ pub mod large;
 pub mod parallel;
 pub mod sink;
 pub mod stats;
+mod step;
 pub mod store;
 pub mod sync;
 pub mod traversal;
@@ -88,7 +90,7 @@ pub use enum_almost_sat::{enum_almost_sat, AlmostSatStats, EnumKind};
 pub use json::{Json, JsonError};
 pub use large::{LargeMbpParams, LargeMbpReport, ParLargeMbpReport};
 pub use parallel::seen::ConcurrentSeenSet;
-pub use parallel::{ParallelConfig, ParallelEngine, ParallelStats};
+pub use parallel::{ParallelConfig, ParallelStats};
 pub use sink::{
     CollectSink, Control, CountingSink, DelayRecorder, DelayReport, FirstN, SizeFilter,
     SolutionSink,

@@ -1,46 +1,37 @@
 //! Thread-parallel maximal k-biplex enumeration.
 //!
 //! The paper's conclusion lists *"efficient parallel and distributed
-//! implementations"* as future work; this module provides two shared-memory
-//! parallel engines for `iTraversal`. The solution-graph exploration is an
+//! implementations"* as future work; this module provides a shared-memory
+//! parallel engine for `iTraversal`. The solution-graph exploration is an
 //! irregular graph traversal, which parallelises naturally: every discovered
-//! solution becomes a work item, and expanding a solution (one `iThreeStep`
-//! invocation — forming almost-satisfying graphs, enumerating local
-//! solutions, extending them and de-duplicating) is independent of every
-//! other expansion apart from the shared *seen* set.
+//! solution becomes a work item, and expanding a solution is independent of
+//! every other expansion apart from the shared *seen* set. Each expansion
+//! runs the same `iThreeStep` as the sequential engine (the crate-private
+//! `step` module) for every left candidate of the host, in ascending order.
 //!
-//! Engines ([`ParallelEngine`]):
+//! The scheduler is **work stealing** ([`work_steal`]): per-worker LIFO
+//! deques; a worker pushes the solutions it discovers onto its own deque and
+//! pops from the same end (depth-first, cache-warm), and steals from the old
+//! end of a random victim's deque when it runs dry — one item from a
+//! shallow victim, the oldest half of a deep one. De-duplication goes
+//! through a lock-free [`seen::ConcurrentSeenSet`] (atomic-swap bucket
+//! chains behind a segmented directory that grows under load), and results
+//! are handed to the shared output vector in batches to keep the output
+//! lock out of the hot path.
 //!
-//! * **Work stealing** (default, [`work_steal`]) — per-worker LIFO deques;
-//!   a worker pushes the solutions it discovers onto its own deque and pops
-//!   from the same end (depth-first, cache-warm), and steals from the old
-//!   end of a random victim's deque when it runs dry — one item from a
-//!   shallow victim, the oldest half of a deep one (adaptive granularity,
-//!   [`ParallelConfig::steal_adaptive`]). De-duplication goes through a
-//!   lock-free [`seen::ConcurrentSeenSet`] (atomic-swap bucket chains
-//!   behind a segmented directory that grows under load), and results are
-//!   handed to the shared output vector in batches to keep the output lock
-//!   out of the hot path.
-//! * **Global queue** ([`global_queue`]) — the original engine: one
-//!   mutex+condvar-protected LIFO work queue and a 64-way mutex-sharded
-//!   seen-set. Kept as the measured baseline of the scaling benchmarks
-//!   (`BENCH_parallel.json`).
-//!
-//! Both engines run the left-anchored + right-shrinking `iTraversal`
+//! The engine runs the left-anchored + right-shrinking `iTraversal`
 //! configuration (those prunings' correctness arguments never reference the
 //! order in which solutions are expanded). The sequential engine's *full*
 //! exclusion strategy is inherently order-dependent — ℰ(H) inherits the
-//! completed sibling branches of every ancestor — and stays disabled; in
-//! its place the expansion procedure applies a **host-local exclusion
-//! approximation** ([`ParallelConfig::exclusion_local`], default on): while
-//! expanding one host H, every fully enumerated earlier candidate `w` of H
-//! joins a local excluded set, and later links out of the *same* expansion
-//! whose solution contains `w` are pruned. This is the same-host slice of
-//! ℰ(H), so it is position-determined (a function of H and the fixed
-//! ascending candidate order only, never of worker timing) and prunes a
-//! large share of the within-expansion duplicate links that the sequential
-//! engine dodges — the bulk of the sequential-vs-parallel per-thread gap
-//! recorded in EXPERIMENTS.md. Correctness (oracle-checked by the
+//! completed sibling branches of every ancestor — and stays sequential. In
+//! its place, for [`crate::api::Algorithm::ITraversal`] and
+//! [`crate::api::Algorithm::Large`], the step prunes against the
+//! **host-local slice** of ℰ(H): while expanding one host H, every fully
+//! enumerated earlier candidate `w` of H joins a local excluded set, and
+//! later links out of the *same* expansion whose solution contains `w` are
+//! pruned. The `iTraversal-ES` ablation passes an empty slice. The slice is
+//! position-determined (a function of H and the fixed ascending candidate
+//! order only, never of worker timing). Correctness (oracle-checked by the
 //! `parallel` test battery and the engine cross-validation suite): if the
 //! link (H, v′) → S is pruned because `w ∈ S.left` for an earlier fully
 //! enumerated candidate `w < v′`, then (H, w) → S is itself a link of the
@@ -51,44 +42,43 @@
 //! even earlier candidate. Since the seen-set expands every claimed
 //! solution exactly once, every maximal k-biplex is still discovered,
 //! independent of scheduling. The *set* of solutions returned — and every
-//! per-run counter — therefore remains deterministic and identical to the
-//! sequential enumeration; the discovery order is not. The
-//! [`crate::api::Enumerator::collect`] terminal returns the canonically
-//! sorted set.
+//! per-run counter except `steals` — therefore remains deterministic; the
+//! discovery order is not. The [`crate::api::Enumerator::collect`]
+//! terminal returns the canonically sorted set.
 //!
 //! A [`VertexOrder`] relabeling pass can be applied up front (see
-//! [`bigraph::order`]): the engines then run on the relabeled graph and the
+//! [`bigraph::order`]): the engine then runs on the relabeled graph and the
 //! solutions are mapped back to the original ids on the way out.
 //!
-//! Both engines support *cooperative cancellation*: the facade
-//! ([`crate::api::Enumerator`]) hands them a shared `AtomicBool` which the
+//! The engine supports *cooperative cancellation*: the facade
+//! ([`crate::api::Enumerator`]) hands it a shared `AtomicBool` which the
 //! workers poll at steal/expand boundaries (and between local solutions of
 //! one expansion), so early-stopping "first N" and time-budgeted runs stop
 //! within one expansion instead of running to completion. Streaming
 //! delivery goes through an optional per-solution callback instead of the
 //! collected output vector.
 
-pub mod global_queue;
 pub mod seen;
 pub mod work_steal;
 
 use std::time::Instant;
 
-use bigraph::intersect::{intersects, Kernel};
+use bigraph::intersect::Kernel;
 use bigraph::order::{Relabeling, VertexOrder};
-use bigraph::BipartiteGraph;
+use bigraph::{BipartiteGraph, VertexRef};
 
-use crate::biplex::{sorted_intersection_len, Biplex, PartialBiplex};
-use crate::enum_almost_sat::{enum_almost_sat, EnumKind};
-use crate::extend::{extend_to_maximal, ExtendMode};
+use crate::biplex::{Biplex, PartialBiplex};
+use crate::enum_almost_sat::EnumKind;
 use crate::sink::Control;
+use crate::stats::TraversalStats;
+use crate::step::{Expansion, ThreeStep};
 use crate::sync::atomic::AtomicBool;
 use crate::sync::order;
 
-/// Scheduler-independent runtime hooks of one parallel run, injected by the
-/// facade: an optional per-solution callback (streaming delivery instead of
-/// the collected output vector) and an optional shared cancellation flag
-/// polled by every worker at steal/expand boundaries.
+/// Runtime hooks of one parallel run, injected by the facade: an optional
+/// per-solution callback (streaming delivery instead of the collected
+/// output vector) and an optional shared cancellation flag polled by every
+/// worker at steal/expand boundaries.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct ParRuntime<'a> {
     /// When set, reported solutions are handed to this callback (in
@@ -104,12 +94,17 @@ pub(crate) struct ParRuntime<'a> {
     pub deadline: Option<Instant>,
 }
 
+/// `true` once the shared stop `flag` is raised (`None` never is).
+pub(crate) fn is_raised(flag: Option<&AtomicBool>) -> bool {
+    // ordering: Relaxed — the flag is a pure liveness signal, no data is
+    // published through it; see DESIGN.md "cancel-flag".
+    flag.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag")))
+}
+
 impl ParRuntime<'_> {
     /// `true` once cancellation has been requested.
     pub(crate) fn cancelled(&self) -> bool {
-        // ordering: Relaxed — the flag is a pure liveness signal, no data is
-        // published through it; see DESIGN.md "cancel-flag".
-        self.cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag")))
+        is_raised(self.cancel)
     }
 
     /// Boundary check: `true` once the run is cancelled or past its
@@ -151,28 +146,6 @@ impl ParRuntime<'_> {
     }
 }
 
-/// Which parallel scheduler executes the run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ParallelEngine {
-    /// Per-worker LIFO deques with random stealing (default).
-    #[default]
-    WorkSteal,
-    /// The original single mutex+condvar work queue (benchmark baseline).
-    GlobalQueue,
-}
-
-impl std::str::FromStr for ParallelEngine {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "steal" | "work-steal" => Ok(ParallelEngine::WorkSteal),
-            "global" | "global-queue" => Ok(ParallelEngine::GlobalQueue),
-            other => Err(format!("unknown parallel engine {other:?} (expected steal or global)")),
-        }
-    }
-}
-
 /// Configuration of a parallel enumeration run.
 #[derive(Clone, Debug)]
 pub struct ParallelConfig {
@@ -189,38 +162,15 @@ pub struct ParallelConfig {
     pub theta_right: usize,
     /// Vertex relabeling applied before the run (solutions are mapped back).
     pub order: VertexOrder,
-    /// Scheduler implementation.
-    pub engine: ParallelEngine,
-    /// Number of reported solutions a worker buffers locally before taking
-    /// the shared output lock (work-stealing engine only).
-    pub result_batch: usize,
-    /// Initial segment count of the seen-set's bucket directory
-    /// (work-stealing engine only). `0` means "size from the graph"; any
-    /// other value pre-publishes that many [`seen::SEGMENT_BUCKETS`]-bucket
-    /// segments (rounded up to a power of two, capped at
-    /// [`seen::MAX_SEGMENTS`]). Either way the directory keeps growing
-    /// under load — the knob only moves the starting point.
-    pub seen_segments: usize,
-    /// Adaptive steal granularity (work-stealing engine only, default on):
-    /// steal a single item from a victim deque at most
-    /// [`work_steal::STEAL_SHALLOW`] deep, the oldest half otherwise.
-    /// `false` always steals half, the previous fixed policy.
-    pub steal_adaptive: bool,
     /// Intersection kernel installed on every worker thread
     /// ([`Kernel::Auto`] applies the measured crossover heuristic; the rest
     /// force one kernel for `--kernel` A/B runs).
     pub kernel: Kernel,
-    /// Host-local exclusion approximation (default on): prune duplicate
-    /// links within one expansion against the already-enumerated earlier
-    /// candidates of the same host. Timing-independent and oracle-checked —
-    /// see the module docs for the correctness argument; the knob exists
-    /// for A/B measurement and as a diagnostic escape hatch.
-    pub exclusion_local: bool,
 }
 
 impl ParallelConfig {
     /// Default configuration: `L2.0+R2.0` local enumeration, OS-chosen
-    /// thread count, no size thresholds, input order, work stealing.
+    /// thread count, no size thresholds, input order.
     pub fn new(k: usize) -> Self {
         ParallelConfig {
             k,
@@ -229,12 +179,7 @@ impl ParallelConfig {
             theta_left: 0,
             theta_right: 0,
             order: VertexOrder::Input,
-            engine: ParallelEngine::WorkSteal,
-            result_batch: 64,
-            seen_segments: 0,
-            steal_adaptive: true,
             kernel: Kernel::Auto,
-            exclusion_local: true,
         }
     }
 
@@ -263,36 +208,9 @@ impl ParallelConfig {
         self
     }
 
-    /// Selects the scheduler engine.
-    pub fn with_engine(mut self, engine: ParallelEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Sets the seen-set's initial segment count (`0` = size from the
-    /// graph). See [`ParallelConfig::seen_segments`].
-    pub fn with_seen_segments(mut self, segments: usize) -> Self {
-        self.seen_segments = segments;
-        self
-    }
-
-    /// Toggles adaptive steal granularity. See
-    /// [`ParallelConfig::steal_adaptive`].
-    pub fn with_steal_adaptive(mut self, adaptive: bool) -> Self {
-        self.steal_adaptive = adaptive;
-        self
-    }
-
     /// Selects the intersection kernel (default [`Kernel::Auto`]).
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Toggles the host-local exclusion approximation. See
-    /// [`ParallelConfig::exclusion_local`].
-    pub fn with_exclusion_local(mut self, enabled: bool) -> Self {
-        self.exclusion_local = enabled;
         self
     }
 
@@ -317,7 +235,8 @@ pub struct ParallelStats {
     pub local_solutions: u64,
     /// Solution-graph links followed (including duplicates).
     pub links: u64,
-    /// Successful steal operations (work-stealing engine; 0 otherwise).
+    /// Successful steal operations (the only counter that depends on
+    /// worker timing).
     pub steals: u64,
     /// Worker threads actually used.
     pub threads: usize,
@@ -326,165 +245,72 @@ pub struct ParallelStats {
     pub stopped_early: bool,
 }
 
-/// Per-worker tallies, merged into [`ParallelStats`] when the worker joins
-/// so the hot loop never touches shared atomics.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct WorkerCounters {
-    pub solutions: u64,
-    pub reported: u64,
-    pub almost_sat_graphs: u64,
-    pub local_solutions: u64,
-    pub links: u64,
-    pub steals: u64,
-}
-
-impl WorkerCounters {
-    pub(crate) fn merge_into(&self, stats: &mut ParallelStats) {
-        stats.solutions += self.solutions;
-        stats.reported += self.reported;
-        stats.almost_sat_graphs += self.almost_sat_graphs;
-        stats.local_solutions += self.local_solutions;
-        stats.links += self.links;
-        stats.steals += self.steals;
+impl ParallelStats {
+    /// Adds one worker's step counters and steal count; workers tally
+    /// privately and merge once at join, so the hot loop never touches
+    /// shared atomics.
+    pub(crate) fn absorb(&mut self, worker: &TraversalStats, steals: u64) {
+        self.solutions += worker.solutions;
+        self.reported += worker.reported;
+        self.almost_sat_graphs += worker.almost_sat_graphs;
+        self.local_solutions += worker.local_solutions;
+        self.links += worker.links;
+        self.steals += steals;
     }
 }
 
-/// Expands one solution — the parallel `iThreeStep`: left-anchored candidate
-/// loop, local enumeration, right-shrinking filter, left-only extension,
-/// de-duplication. Shared by both engines; the scheduler-specific parts are
-/// injected:
-///
-/// * `seen_insert` claims a solution in the concurrent seen-set, returning
-///   `true` exactly once per distinct solution across all workers;
-/// * `on_new(solution, report, expandable)` is called for every solution
-///   claimed by this worker — `report` says it passed the size thresholds,
-///   `expandable` that its expansion is not pruned and it must be scheduled;
-/// * `cancel`, when set, is polled between candidate vertices and between
-///   local solutions so a cancelled run abandons the expansion mid-way.
-pub(crate) fn expand_solution(
-    g: &BipartiteGraph,
-    config: &ParallelConfig,
+/// Expands one solution: the `iThreeStep` for every left candidate outside
+/// `host`, in ascending order. With `exclusion` on, every fully enumerated
+/// candidate joins the host-local slice of ℰ(H) that the later candidates'
+/// links are pruned against (see the module docs). The scheduler supplies
+/// the dedup `claim` and `on_new`, which takes every newly claimed solution.
+pub(crate) fn expand_solution<C, N>(
+    step: &ThreeStep<'_>,
     host: &Biplex,
-    counters: &mut WorkerCounters,
-    seen_insert: &dyn Fn(&Biplex) -> bool,
-    on_new: &mut dyn FnMut(Biplex, bool, bool),
-    cancel: Option<&AtomicBool>,
-) {
-    let k = config.k;
-    let host_partial = PartialBiplex::from_sets(g, &host.left, &host.right);
-
-    // Host-local exclusion (see the module docs): candidates of this host
-    // that have been fully enumerated, ascending because `v` is. Later
-    // links of the *same* expansion towards a solution containing one of
-    // them are duplicates of a link already considered, and are pruned.
+    exclusion: bool,
+    tally: &mut TraversalStats,
+    mut claim: C,
+    mut on_new: N,
+) where
+    C: FnMut(&Biplex) -> bool,
+    N: FnMut(Biplex, &mut TraversalStats) -> Control,
+{
+    let host = PartialBiplex::from_sets(step.g, &host.left, &host.right);
+    // Fully enumerated candidates of this host, ascending because `v` is.
     let mut excluded: Vec<u32> = Vec::new();
-
-    for v in 0..g.num_left() {
-        // ordering: Relaxed — cancellation poll, liveness only; see
-        // DESIGN.md "cancel-flag".
-        if cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag"))) {
+    for v in 0..step.g.num_left() {
+        if step.cancelled() {
             return;
         }
-        if host_partial.contains_left(v) {
+        if host.contains_left(v) {
             continue;
         }
-        // Almost-satisfying-graph pruning for large-MBP runs (Section 5):
-        // every solution reached through v keeps v and, under
-        // right-shrinking, at most deg(v, R_H) + k right vertices.
-        if config.theta_right > 0 {
-            let deg_in_r = sorted_intersection_len(g.left_neighbors(v), host_partial.right());
-            if deg_in_r + k < config.theta_right {
-                continue;
-            }
-        }
-        counters.almost_sat_graphs += 1;
-
-        enum_almost_sat(g, k, config.enum_kind, &host_partial, v, |local: Biplex| -> bool {
-            // ordering: Relaxed — cancellation poll, liveness only; see
-            // DESIGN.md "cancel-flag".
-            if cancel.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag"))) {
-                return false;
-            }
-            counters.local_solutions += 1;
-
-            // Host-local exclusion on the local solution: its extension
-            // keeps `local.left`, so a hit here prunes the link before the
-            // right-shrinking scan and the extension are paid for.
-            if intersects(&local.left, &excluded) {
-                return true;
-            }
-
-            // Local-solution pruning (Section 5): under right-shrinking the
-            // final right side equals the local one.
-            if config.theta_right > 0 && local.right.len() < config.theta_right {
-                return true;
-            }
-
-            let mut partial = PartialBiplex::from_sets(g, &local.left, &local.right);
-
-            // Right-shrinking traversal (Algorithm 2 line 7): discard the
-            // local solution if any right vertex of G outside it can be
-            // added while preserving the k-biplex property.
-            if exists_addable_right(g, &partial, k) {
-                return true;
-            }
-
-            extend_to_maximal(g, &mut partial, k, ExtendMode::LeftOnly);
-            let solution = partial.to_biplex();
-
-            // Host-local exclusion on the extended solution (the extension
-            // may pull in an excluded left vertex the local solution lacked).
-            if intersects(&solution.left, &excluded) {
-                return true;
-            }
-            counters.links += 1;
-
-            if seen_insert(&solution) {
-                counters.solutions += 1;
-                let report = solution.left.len() >= config.theta_left
-                    && solution.right.len() >= config.theta_right;
-                if report {
-                    counters.reported += 1;
+        match step.expand(&host, VertexRef::left(v), &excluded, tally, &mut claim, &mut on_new) {
+            // Only fully enumerated candidates may be excluded against —
+            // the completeness induction needs every link via `v` to have
+            // been considered. θ-pruned and skipped candidates never join.
+            Expansion::Pruned => {}
+            Expansion::Done => {
+                if exclusion {
+                    excluded.push(v);
                 }
-                // Solution pruning (Section 5): descendants cannot regain
-                // right-side size under right-shrinking.
-                let expandable =
-                    !(config.theta_right > 0 && solution.right.len() < config.theta_right);
-                on_new(solution, report, expandable);
             }
-            true
-        });
-
-        // Only fully enumerated candidates may be excluded against — the
-        // completeness induction needs every link via `v` to have been
-        // considered. θ-pruned and skipped candidates never join, and a
-        // cancelled expansion stops using the set at the next poll.
-        if config.exclusion_local {
-            excluded.push(v);
+            Expansion::Stopped => return,
         }
     }
 }
 
-/// The literal right-shrinking test of Algorithm 2 line 7: does a right
-/// vertex of `G` outside the local solution exist whose addition preserves
-/// the k-biplex property?
-fn exists_addable_right(g: &BipartiteGraph, partial: &PartialBiplex, k: usize) -> bool {
-    for u in 0..g.num_right() {
-        if !partial.contains_right(u) && partial.can_add_right(g, u, k) {
-            return true;
-        }
-    }
-    false
-}
-
-/// Engine dispatch plus the relabeling pass behind the
-/// [`crate::api::Enumerator`] facade. A relabeling pass
-/// runs the engines on the permuted graph and maps the solutions back (in
-/// collect mode through the output vector, in streaming mode by wrapping the
-/// emit callback); the canonical solution set is unchanged.
+/// The relabeling pass plus the work-stealing run behind the
+/// [`crate::api::Enumerator`] facade. A relabeling pass runs the engine on
+/// the permuted graph and maps the solutions back (in collect mode through
+/// the output vector, in streaming mode by wrapping the emit callback); the
+/// canonical solution set is unchanged. `exclusion` selects the host-local
+/// exclusion slice — the algorithm's choice: on for `iTraversal` and the
+/// large-MBP pipeline, off for the `iTraversal-ES` ablation.
 pub(crate) fn par_run(
     g: &BipartiteGraph,
     config: &ParallelConfig,
+    exclusion: bool,
     rt: &ParRuntime<'_>,
 ) -> (Vec<Biplex>, ParallelStats) {
     if config.order != VertexOrder::Input {
@@ -494,31 +320,30 @@ pub(crate) fn par_run(
         if let Some(emit) = rt.emit {
             let mapped_emit = |b: &Biplex| emit(&b.map_back(&relab));
             let mapped_rt = ParRuntime { emit: Some(&mapped_emit), ..*rt };
-            return par_run(&rg, &cfg, &mapped_rt);
+            return par_run(&rg, &cfg, exclusion, &mapped_rt);
         }
-        let (solutions, stats) = par_run(&rg, &cfg, rt);
+        let (solutions, stats) = par_run(&rg, &cfg, exclusion, rt);
         let mapped = solutions.iter().map(|b| b.map_back(&relab)).collect();
         return (mapped, stats);
     }
-    match config.engine {
-        ParallelEngine::WorkSteal => work_steal::run(g, config, rt),
-        ParallelEngine::GlobalQueue => global_queue::run(g, config, rt),
-    }
+    work_steal::run(g, config, exclusion, rt)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Algorithm, Engine, EngineStats, Enumerator};
     use crate::traversal::tests_support::enumerate_all;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The engines under their default runtime (no emit hook, no cancel).
+    /// The engine under its default runtime (no emit hook, no cancel) with
+    /// the host-local exclusion slice on.
     fn par_enumerate_mbps(
         g: &BipartiteGraph,
         cfg: &ParallelConfig,
     ) -> (Vec<Biplex>, ParallelStats) {
-        par_run(g, cfg, &ParRuntime::default())
+        par_run(g, cfg, true, &ParRuntime::default())
     }
 
     fn random_graph(nl: u32, nr: u32, p: f64, seed: u64) -> BipartiteGraph {
@@ -534,21 +359,17 @@ mod tests {
         BipartiteGraph::from_edges(nl, nr, &edges).unwrap()
     }
 
-    const ENGINES: [ParallelEngine; 2] = [ParallelEngine::WorkSteal, ParallelEngine::GlobalQueue];
-
     #[test]
     fn parallel_matches_sequential_on_random_graphs() {
         for seed in 0..10u64 {
             let g = random_graph(6, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
-                for engine in ENGINES {
-                    for threads in [1, 2, 4] {
-                        let cfg = ParallelConfig::new(k).with_threads(threads).with_engine(engine);
-                        let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                        got.sort();
-                        assert_eq!(got, expected, "seed {seed} k {k} threads {threads} {engine:?}");
-                    }
+                for threads in [1, 2, 4] {
+                    let cfg = ParallelConfig::new(k).with_threads(threads);
+                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                    got.sort();
+                    assert_eq!(got, expected, "seed {seed} k {k} threads {threads}");
                 }
             }
         }
@@ -572,14 +393,12 @@ mod tests {
     #[test]
     fn parallel_stats_are_consistent() {
         let g = random_graph(7, 7, 0.5, 3);
-        for engine in ENGINES {
-            let cfg = ParallelConfig::new(1).with_threads(3).with_engine(engine);
-            let (results, stats) = par_enumerate_mbps(&g, &cfg);
-            assert_eq!(stats.solutions, results.len() as u64, "{engine:?}");
-            assert_eq!(stats.reported, stats.solutions, "{engine:?}");
-            assert!(stats.links >= stats.solutions.saturating_sub(1), "{engine:?}");
-            assert_eq!(stats.threads, 3, "{engine:?}");
-        }
+        let cfg = ParallelConfig::new(1).with_threads(3);
+        let (results, stats) = par_enumerate_mbps(&g, &cfg);
+        assert_eq!(stats.solutions, results.len() as u64);
+        assert_eq!(stats.reported, stats.solutions);
+        assert!(stats.links >= stats.solutions.saturating_sub(1));
+        assert_eq!(stats.threads, 3);
     }
 
     #[test]
@@ -595,15 +414,10 @@ mod tests {
                     .cloned()
                     .collect();
                 expected.sort();
-                for engine in ENGINES {
-                    let cfg = ParallelConfig::new(k)
-                        .with_threads(4)
-                        .with_thresholds(tl, tr)
-                        .with_engine(engine);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} θ=({tl},{tr}) {engine:?}");
-                }
+                let cfg = ParallelConfig::new(k).with_threads(4).with_thresholds(tl, tr);
+                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                got.sort();
+                assert_eq!(got, expected, "seed {seed} θ=({tl},{tr})");
             }
         }
     }
@@ -623,44 +437,34 @@ mod tests {
 
     #[test]
     fn degenerate_graphs() {
-        for engine in ENGINES {
-            let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
-            let cfg = ParallelConfig::new(1).with_threads(2).with_engine(engine);
-            let (got, _) = par_enumerate_mbps(&g, &cfg);
-            assert_eq!(got.len(), 1, "{engine:?}");
-            assert!(got[0].is_empty(), "{engine:?}");
+        let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
+        let cfg = ParallelConfig::new(1).with_threads(2);
+        let (got, _) = par_enumerate_mbps(&g, &cfg);
+        assert_eq!(got.len(), 1);
+        assert!(got[0].is_empty());
 
-            let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
-            for k in 0..=2usize {
-                let cfg = ParallelConfig::new(k).with_threads(2).with_engine(engine);
-                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                got.sort();
-                assert_eq!(got, enumerate_all(&g, k), "k {k} {engine:?}");
-            }
+        let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
+        for k in 0..=2usize {
+            let cfg = ParallelConfig::new(k).with_threads(2);
+            let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+            got.sort();
+            assert_eq!(got, enumerate_all(&g, k), "k {k}");
         }
     }
 
     #[test]
     fn host_local_exclusion_is_oracle_checked_against_sequential() {
-        // The approximation must change only the link counts, never the
-        // solution set — on either engine, at any thread count.
+        // The exclusion slice must change only the link counts, never the
+        // solution set, at any thread count.
         for seed in 0..8u64 {
             let g = random_graph(7, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
-                for engine in ENGINES {
-                    for exclusion in [true, false] {
-                        let cfg = ParallelConfig::new(k)
-                            .with_threads(3)
-                            .with_engine(engine)
-                            .with_exclusion_local(exclusion);
-                        let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                        got.sort();
-                        assert_eq!(
-                            got, expected,
-                            "seed {seed} k {k} {engine:?} exclusion_local {exclusion}"
-                        );
-                    }
+                for exclusion in [true, false] {
+                    let cfg = ParallelConfig::new(k).with_threads(3);
+                    let (mut got, _) = par_run(&g, &cfg, exclusion, &ParRuntime::default());
+                    got.sort();
+                    assert_eq!(got, expected, "seed {seed} k {k} exclusion {exclusion}");
                 }
             }
         }
@@ -668,18 +472,23 @@ mod tests {
 
     #[test]
     fn host_local_exclusion_prunes_duplicate_links() {
-        // On a dense graph the within-expansion duplicate links are
-        // plentiful; the approximation must strictly reduce them while
-        // keeping the solution count identical.
+        // The algorithm picks the exclusion policy: on the work-stealer,
+        // iTraversal prunes against the host-local slice of ℰ(H) and the
+        // iTraversal-ES ablation does not. On a dense graph the
+        // within-expansion duplicate links are plentiful, so the full
+        // algorithm must follow strictly fewer links for the same set.
         let g = random_graph(8, 8, 0.7, 5);
-        let run = |exclusion: bool| {
-            let cfg = ParallelConfig::new(1).with_threads(2).with_exclusion_local(exclusion);
-            par_enumerate_mbps(&g, &cfg)
+        let run = |algorithm: Algorithm| {
+            let e = Enumerator::new(&g).k(1).algorithm(algorithm).engine(Engine::WorkSteal);
+            let mut sink = crate::sink::CollectSink::new();
+            let report = e.threads(2).run(&mut sink).unwrap();
+            let EngineStats::Parallel(stats) = report.stats else {
+                panic!("work-steal runs report parallel stats");
+            };
+            (sink.into_sorted(), stats)
         };
-        let (mut with, stats_with) = run(true);
-        let (mut without, stats_without) = run(false);
-        with.sort();
-        without.sort();
+        let (with, stats_with) = run(Algorithm::ITraversal);
+        let (without, stats_without) = run(Algorithm::ITraversalNoExclusion);
         assert_eq!(with, without);
         assert_eq!(stats_with.solutions, stats_without.solutions);
         assert!(
@@ -696,16 +505,11 @@ mod tests {
             let g = random_graph(7, 7, 0.5, seed);
             let k = 1;
             let expected = enumerate_all(&g, k);
-            for engine in ENGINES {
-                for kernel in Kernel::ALL {
-                    let cfg = ParallelConfig::new(k)
-                        .with_threads(2)
-                        .with_engine(engine)
-                        .with_kernel(kernel);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} {engine:?} kernel {kernel}");
-                }
+            for kernel in Kernel::ALL {
+                let cfg = ParallelConfig::new(k).with_threads(2).with_kernel(kernel);
+                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
+                got.sort();
+                assert_eq!(got, expected, "seed {seed} kernel {kernel}");
             }
         }
     }
@@ -718,8 +522,13 @@ mod tests {
 
     #[test]
     fn engine_parsing() {
-        assert_eq!("steal".parse::<ParallelEngine>().unwrap(), ParallelEngine::WorkSteal);
-        assert_eq!("global".parse::<ParallelEngine>().unwrap(), ParallelEngine::GlobalQueue);
-        assert!("quantum".parse::<ParallelEngine>().is_err());
+        // The work-stealer is the one parallel engine; the retired
+        // global-queue codes are rejected, not mapped onto it.
+        for code in ["steal", "work-steal"] {
+            assert_eq!(code.parse::<Engine>().unwrap(), Engine::WorkSteal);
+        }
+        for code in ["global", "global-queue", "quantum"] {
+            assert!(code.parse::<Engine>().is_err(), "{code}");
+        }
     }
 }

@@ -158,9 +158,8 @@ impl ConcurrentSeenSet {
     /// `segment_buckets` buckets each (rounded up to a power of two). The
     /// growth policy is the same as [`new`](Self::new); a set whose initial
     /// capacity already covers the whole workload never grows and behaves
-    /// exactly like the old fixed-capacity design. Intended for tuning
-    /// (`ParallelConfig::seen_segments`), benchmarks and tests; everything
-    /// else should use [`new`](Self::new).
+    /// exactly like the old fixed-capacity design. Intended for benchmarks
+    /// and tests; everything else should use [`new`](Self::new).
     pub fn with_geometry(initial_segments: usize, segment_buckets: usize) -> Self {
         let segment_buckets = segment_buckets.max(1).next_power_of_two();
         let initial = initial_segments.clamp(1, MAX_SEGMENTS).next_power_of_two();

@@ -8,11 +8,10 @@
 //! random victim and steals from the *old* end of its deque — the items
 //! closest to the root of the victim's DFS, which head the largest
 //! unexplored subtrees — amortising one steal over many subsequent local
-//! pops. The steal *granularity* adapts to the victim's depth when
-//! [`ParallelConfig::steal_adaptive`] is on (the default): a deque at most
-//! [`STEAL_SHALLOW`] deep gives up a single item (grabbing half of almost
-//! nothing just moves the starvation to the victim and bounces the same
-//! items between deques), a deeper one gives up its oldest half.
+//! pops. The steal *granularity* adapts to the victim's depth: a deque at
+//! most [`STEAL_SHALLOW`] deep gives up a single item (grabbing half of
+//! almost nothing just moves the starvation to the victim and bounces the
+//! same items between deques), a deeper one gives up its oldest half.
 //!
 //! Termination uses a single pending-work counter: it is incremented
 //! *before* an item becomes visible in any deque and decremented only
@@ -21,9 +20,9 @@
 //! new work can appear. Idle workers spin briefly, then yield, then sleep
 //! in microsecond steps until work reappears or the counter hits zero.
 //!
-//! De-duplication goes through the lock-free [`ConcurrentSeenSet`]; reported
-//! solutions are buffered per worker and appended to the shared output
-//! vector in batches of [`ParallelConfig::result_batch`].
+//! De-duplication goes through the lock-free [`ConcurrentSeenSet`], sized
+//! from the graph; reported solutions are buffered per worker and appended
+//! to the shared output vector in batches of [`RESULT_BATCH`].
 
 use std::collections::VecDeque;
 use std::sync::PoisonError;
@@ -33,31 +32,37 @@ use bigraph::BipartiteGraph;
 use crate::sync::atomic::AtomicUsize;
 use crate::sync::{hint, order, plock, thread, Mutex};
 
-use super::seen::{ConcurrentSeenSet, SEGMENT_BUCKETS};
-use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats, WorkerCounters};
+use super::seen::ConcurrentSeenSet;
+use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats};
 use crate::biplex::Biplex;
 use crate::initial::initial_left_anchored;
+use crate::sink::Control;
+use crate::stats::TraversalStats;
+use crate::step::ThreeStep;
 
-/// Victim-deque depth at or below which an adaptive steal takes one item
-/// instead of half.
+/// Victim-deque depth at or below which a steal takes one item instead of
+/// half.
 pub const STEAL_SHALLOW: usize = 4;
 
-/// Runs the work-stealing enumeration. Called through [`super::par_run`].
-/// The [`ParRuntime`] cancellation flag is polled at every pop/steal
-/// boundary and inside expansions, so a stop request is honoured within one
-/// expansion instead of running the search to completion.
+/// Number of reported solutions a worker buffers locally before taking the
+/// shared output lock.
+pub const RESULT_BATCH: usize = 64;
+
+/// Runs the work-stealing enumeration. Called through [`super::par_run`];
+/// `exclusion` selects the host-local exclusion slice. The [`ParRuntime`]
+/// cancellation flag is polled at every pop/steal boundary and inside
+/// expansions, so a stop request is honoured within one expansion instead
+/// of running the search to completion.
 pub(super) fn run(
     g: &BipartiteGraph,
     config: &ParallelConfig,
+    exclusion: bool,
     rt: &ParRuntime<'_>,
 ) -> (Vec<Biplex>, ParallelStats) {
     let threads = config.resolved_threads().max(1);
     let deques: Vec<Mutex<VecDeque<Biplex>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    let seen = match config.seen_segments {
-        0 => ConcurrentSeenSet::new((g.num_vertices() as usize) * 2),
-        n => ConcurrentSeenSet::with_geometry(n, SEGMENT_BUCKETS),
-    };
+    let seen = ConcurrentSeenSet::new((g.num_vertices() as usize) * 2);
     let pending = AtomicUsize::new(0);
     let results: Mutex<Vec<Biplex>> = Mutex::new(Vec::new());
 
@@ -84,12 +89,14 @@ pub(super) fn run(
                 let seen = &seen;
                 let pending = &pending;
                 let results = &results;
-                scope.spawn(move || worker(w, g, config, rt, deques, seen, pending, results))
+                scope.spawn(move || {
+                    worker(w, g, config, exclusion, rt, deques, seen, pending, results)
+                })
             })
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok(counters) => counters.merge_into(&mut stats),
+                Ok((tally, steals)) => stats.absorb(&tally, steals),
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
@@ -101,28 +108,40 @@ pub(super) fn run(
 }
 
 /// One worker: pop locally, steal when dry, exit when the pending counter
-/// proves global completion or the run is cancelled.
+/// proves global completion or the run is cancelled. Returns the worker's
+/// step counters and its steal count.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     w: usize,
     g: &BipartiteGraph,
     config: &ParallelConfig,
+    exclusion: bool,
     rt: &ParRuntime<'_>,
     deques: &[Mutex<VecDeque<Biplex>>],
     seen: &ConcurrentSeenSet,
     pending: &AtomicUsize,
     results: &Mutex<Vec<Biplex>>,
-) -> WorkerCounters {
-    let mut counters = WorkerCounters::default();
+) -> (TraversalStats, u64) {
+    let mut tally = TraversalStats::default();
+    let mut steals = 0u64;
     // Every intersection this worker performs honours the configured kernel
     // (worker threads start from `Kernel::Auto`, so this installs the
     // `--kernel` A/B override end-to-end).
     let _kernel = bigraph::intersect::set_thread_kernel(config.kernel);
+    // Left candidates only, right-shrinking, this run's thresholds.
+    let step = ThreeStep {
+        g,
+        gt: None,
+        k: config.k,
+        enum_kind: config.enum_kind,
+        right_shrinking: true,
+        theta_right: config.theta_right,
+        cancel: rt.cancel,
+    };
     let mut batch: Vec<Biplex> = Vec::new();
     // Per-worker deterministic xorshift state for victim selection.
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ (w as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
     let mut idle = 0u32;
-    let batch_limit = config.result_batch.max(1);
 
     loop {
         // Steal boundary: a cancelled (or deadline-expired) run abandons
@@ -130,8 +149,7 @@ fn worker(
         if rt.should_stop() {
             break;
         }
-        let host = pop_own(&deques[w])
-            .or_else(|| steal(w, deques, config.steal_adaptive, &mut rng, &mut counters));
+        let host = pop_own(&deques[w]).or_else(|| steal(w, deques, &mut rng, &mut steals));
         let Some(host) = host else {
             // ordering: SeqCst — the termination check must observe every
             // fetch_add that happened before the matching deque push it
@@ -151,16 +169,24 @@ fn worker(
                 // with the workers that still have work: 100 µs doubling up
                 // to 1.6 ms. Steal latency on refill stays bounded while the
                 // idle loop's CPU share goes to ~zero.
-                let step = ((idle - 64) / 32).min(4);
-                thread::sleep(std::time::Duration::from_micros(100 << step));
+                let backoff = ((idle - 64) / 32).min(4);
+                thread::sleep(std::time::Duration::from_micros(100 << backoff));
             }
             continue;
         };
         idle = 0;
 
         let my_deque = &deques[w];
-        let mut on_new = |solution: Biplex, report: bool, expandable: bool| {
+        let on_new = |solution: Biplex, tally: &mut TraversalStats| {
+            let report = solution.left.len() >= config.theta_left
+                && solution.right.len() >= config.theta_right;
+            if report {
+                tally.reported += 1;
+            }
             let collect = report && !rt.deliver(&solution);
+            // Solution pruning (Section 5): descendants cannot regain
+            // right-side size under right-shrinking.
+            let expandable = !(config.theta_right > 0 && solution.right.len() < config.theta_right);
             // A cancelled run stops scheduling new expansions; the already
             // delivered solutions stay valid.
             if expandable && !rt.cancelled() {
@@ -176,19 +202,13 @@ fn worker(
             } else if collect {
                 batch.push(solution);
             }
-            if batch.len() >= batch_limit {
+            if batch.len() >= RESULT_BATCH {
                 plock(results).append(&mut batch);
             }
+            Control::Continue
         };
-        expand_solution(
-            g,
-            config,
-            &host,
-            &mut counters,
-            &|s: &Biplex| seen.insert(s.canonical_key()),
-            &mut on_new,
-            rt.cancel,
-        );
+        let claim = |s: &Biplex| seen.insert(s.canonical_key());
+        expand_solution(&step, &host, exclusion, &mut tally, claim, on_new);
         // Only now is this item fully accounted for.
         // ordering: SeqCst — all child fetch_adds from this expansion are
         // sequenced before this decrement, so the counter can only hit zero
@@ -200,7 +220,7 @@ fn worker(
     if !batch.is_empty() {
         plock(results).append(&mut batch);
     }
-    counters
+    (tally, steals)
 }
 
 /// LIFO pop from the worker's own deque.
@@ -209,16 +229,15 @@ fn pop_own(deque: &Mutex<VecDeque<Biplex>>) -> Option<Biplex> {
 }
 
 /// Scans the other deques from a random start and steals from the old end
-/// of the first non-empty victim — one item when `adaptive` and the victim
-/// is at most [`STEAL_SHALLOW`] deep, its oldest half otherwise. The first
-/// stolen item is returned for immediate processing, the rest land on the
-/// thief's own deque.
+/// of the first non-empty victim — one item when the victim is at most
+/// [`STEAL_SHALLOW`] deep, its oldest half otherwise. The first stolen item
+/// is returned for immediate processing, the rest land on the thief's own
+/// deque.
 fn steal(
     w: usize,
     deques: &[Mutex<VecDeque<Biplex>>],
-    adaptive: bool,
     rng: &mut u64,
-    counters: &mut WorkerCounters,
+    steals: &mut u64,
 ) -> Option<Biplex> {
     let n = deques.len();
     if n == 1 {
@@ -235,10 +254,10 @@ fn steal(
         if len == 0 {
             continue;
         }
-        let take = if adaptive && len <= STEAL_SHALLOW { 1 } else { len.div_ceil(2) };
+        let take = if len <= STEAL_SHALLOW { 1 } else { len.div_ceil(2) };
         let mut stolen: VecDeque<Biplex> = victim.drain(..take).collect();
         drop(victim);
-        counters.steals += 1;
+        *steals += 1;
         let first = stolen.pop_front();
         if !stolen.is_empty() {
             let mut mine = plock(&deques[w]);

@@ -1,7 +1,7 @@
 //! Synchronisation facade for the lock-free core.
 //!
-//! Everything in [`crate::parallel`] reaches its atomics, locks, condvars
-//! and threads through this module instead of `std` directly (the
+//! Everything in [`crate::parallel`] reaches its atomics, locks and
+//! threads through this module instead of `std` directly (the
 //! `cargo xtask lint` pass enforces it for `parallel/`). The facade has two
 //! backends selected at compile time by the `kbiplex_model` cfg:
 //!
@@ -35,10 +35,10 @@ compile_error!(
 );
 
 #[cfg(not(kbiplex_model))]
-pub use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+pub use std::sync::{Mutex, MutexGuard, OnceLock};
 
 #[cfg(kbiplex_model)]
-pub use modelsim::{Condvar, Mutex, MutexGuard, OnceLock};
+pub use modelsim::{Mutex, MutexGuard, OnceLock};
 
 /// Atomic types and memory orderings (std or modelsim, by backend).
 pub mod atomic {

@@ -20,16 +20,16 @@
 
 use std::time::Instant;
 
-use bigraph::intersect::{intersects, set_thread_kernel, Kernel};
+use bigraph::intersect::{set_thread_kernel, Kernel};
 use bigraph::order::{Relabeling, VertexOrder};
 use bigraph::{BipartiteGraph, Side, VertexRef};
 
-use crate::biplex::{sorted_intersection_len, Biplex, PartialBiplex};
-use crate::enum_almost_sat::{enum_almost_sat, EnumKind};
-use crate::extend::{extend_to_maximal, right_extension_candidates, ExtendMode};
+use crate::biplex::{Biplex, PartialBiplex};
+use crate::enum_almost_sat::EnumKind;
 use crate::initial::{initial_arbitrary, initial_left_anchored};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
+use crate::step::{Expansion, ThreeStep};
 use crate::store::{HashStore, SolutionStore};
 
 /// Which designated initial solution the traversal starts from.
@@ -269,9 +269,19 @@ pub(crate) fn traverse<S: SolutionSink + ?Sized>(
     // configs do not leak into each other.
     let _kernel = set_thread_kernel(config.kernel);
 
+    // Right-side candidates (bTraversal) run the step on the transpose.
+    let gt = if config.left_anchored { None } else { Some(g.transpose()) };
     let mut engine = Engine {
         g,
-        gt: if config.left_anchored { None } else { Some(g.transpose()) },
+        step: ThreeStep {
+            g,
+            gt: gt.as_ref(),
+            k: config.k,
+            enum_kind: config.enum_kind,
+            right_shrinking: config.right_shrinking,
+            theta_right: config.theta_right,
+            cancel: None,
+        },
         config,
         store: HashStore::new(),
         stats: TraversalStats::default(),
@@ -319,9 +329,8 @@ struct Frame {
 
 struct Engine<'a, S: SolutionSink + ?Sized> {
     g: &'a BipartiteGraph,
-    /// Transposed graph, present only when right-side candidates are needed
-    /// (bTraversal).
-    gt: Option<BipartiteGraph>,
+    /// The `iThreeStep` applied to every (solution, candidate) pair.
+    step: ThreeStep<'a>,
     config: &'a TraversalConfig,
     store: HashStore,
     stats: TraversalStats,
@@ -375,14 +384,22 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
                 continue;
             }
 
-            // 3. Move on to the next candidate vertex (or finish the frame).
-            match self.next_candidate(&mut frame) {
+            // 3. Expand the next candidate vertex (or finish the frame). A
+            //    candidate the step prunes outright has no branch to close
+            //    out, so it never joins ℰ(H).
+            let mut expanded = None;
+            while let Some(cand) = self.next_candidate(&mut frame) {
+                if self.process_candidate(&mut frame, cand) {
+                    expanded = Some(cand);
+                    break;
+                }
+            }
+            match expanded {
                 Some(cand) => {
                     frame.current_candidate = Some(match cand.side {
                         Side::Left => Some(cand.id),
                         Side::Right => None,
                     });
-                    self.process_candidate(&mut frame, cand);
                     stack.push(frame);
                 }
                 None => {
@@ -452,8 +469,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     }
 
     /// Advances to the next candidate vertex of the frame, applying the
-    /// left-anchored restriction, the exclusion strategy and the
-    /// almost-satisfying-graph pruning of Section 5.
+    /// left-anchored restriction and the exclusion strategy.
     fn next_candidate(&mut self, frame: &mut Frame) -> Option<VertexRef> {
         let num_left = self.g.num_left() as u64;
         let num_right = self.g.num_right() as u64;
@@ -470,18 +486,6 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
                     self.stats.pruned_exclusion += 1;
                     continue;
                 }
-                // Almost-satisfying-graph pruning: every solution reached
-                // through v keeps v on its left side and (under
-                // right-shrinking) a right side within N(v, R_H) plus at
-                // most k non-neighbours.
-                if self.config.theta_right > 0 && self.config.right_shrinking {
-                    let deg_in_r =
-                        sorted_intersection_len(self.g.left_neighbors(v), frame.partial.right());
-                    if deg_in_r + self.config.k < self.config.theta_right {
-                        self.stats.pruned_size += 1;
-                        continue;
-                    }
-                }
                 return Some(VertexRef::left(v));
             } else {
                 let u = (pos - num_left) as u32;
@@ -494,163 +498,41 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         None
     }
 
-    /// Runs `EnumAlmostSat` for one candidate vertex and handles every local
-    /// solution: pruning rules, extension to a real MBP, de-duplication,
-    /// emission and scheduling of the DFS descent.
-    fn process_candidate(&mut self, frame: &mut Frame, cand: VertexRef) {
-        self.stats.almost_sat_graphs += 1;
-
-        let Engine { g, gt, config, store, stats, sink, stop } = self;
-        let g: &BipartiteGraph = g;
+    /// Runs the `iThreeStep` for one candidate vertex against the full
+    /// ℰ(H), claiming in the run's [`HashStore`]; every new solution is
+    /// emitted (immediate mode) and queued for the DFS descent. Returns
+    /// `false` when the step pruned the candidate outright.
+    fn process_candidate(&mut self, frame: &mut Frame, cand: VertexRef) -> bool {
+        let Engine { step, config, store, stats, sink, stop, .. } = self;
         let cfg: &TraversalConfig = config;
-        let k = cfg.k;
-
-        let exclusion = &frame.exclusion;
         let children = &mut frame.current_children;
-        let host = &frame.partial;
-
-        // For right-side candidates (bTraversal only) the left-oriented
-        // EnumAlmostSat runs on the transposed graph with the flipped host.
-        let (enum_graph, enum_host, flip): (&BipartiteGraph, PartialBiplex, bool) = match cand.side
-        {
-            Side::Left => (g, host.clone(), false),
-            Side::Right => {
-                let Some(gt) = gt.as_ref() else {
-                    unreachable!("transpose is built when right candidates are enabled")
-                };
-                (gt, host.flipped(), true)
-            }
-        };
-
-        let theta_filter_left = cfg.theta_left;
-        let theta_filter_right = cfg.theta_right;
-
-        let almost_stats = enum_almost_sat(
-            enum_graph,
-            k,
-            cfg.enum_kind,
-            &enum_host,
-            cand.id,
-            |local: Biplex| -> bool {
-                if *stop {
-                    return false;
-                }
-                let local = if flip { local.transpose() } else { local };
-                stats.local_solutions += 1;
-
-                // Exclusion strategy: discard local solutions containing an
-                // excluded vertex.
-                if cfg.exclusion && intersects(&local.left, exclusion) {
-                    stats.pruned_exclusion += 1;
-                    return true;
-                }
-
-                // Local-solution pruning (Section 5): under right-shrinking
-                // the final right side equals the local one.
-                if cfg.theta_right > 0 && cfg.right_shrinking && local.right.len() < cfg.theta_right
+        let outcome = step.expand(
+            &frame.partial,
+            cand,
+            &frame.exclusion,
+            stats,
+            |solution| store.insert(solution),
+            |solution, stats| {
+                if cfg.emit == EmitMode::Immediate
+                    && solution.left.len() >= cfg.theta_left
+                    && solution.right.len() >= cfg.theta_right
                 {
-                    stats.pruned_size += 1;
-                    return true;
-                }
-
-                let mut partial = PartialBiplex::from_sets(g, &local.left, &local.right);
-
-                // Right-shrinking traversal (Algorithm 2 line 7): discard
-                // the local solution if any right vertex of G outside it can
-                // be added.
-                if cfg.right_shrinking && exists_addable_right_outside(g, &partial, host, k) {
-                    stats.pruned_right_shrinking += 1;
-                    return true;
-                }
-
-                // Step 3: extend to a maximal k-biplex of G.
-                let mode =
-                    if cfg.right_shrinking { ExtendMode::LeftOnly } else { ExtendMode::BothSides };
-                extend_to_maximal(g, &mut partial, k, mode);
-                let solution = partial.to_biplex();
-
-                // Exclusion strategy on the extended solution: prune links
-                // towards solutions containing an excluded vertex.
-                if cfg.exclusion && intersects(&solution.left, exclusion) {
-                    stats.pruned_exclusion += 1;
-                    return true;
-                }
-
-                stats.links += 1;
-                if store.insert(&solution) {
-                    stats.solutions += 1;
-                    if cfg.emit == EmitMode::Immediate
-                        && solution.left.len() >= theta_filter_left
-                        && solution.right.len() >= theta_filter_right
-                    {
-                        stats.reported += 1;
-                        if sink.on_solution(&solution) == Control::Stop {
-                            *stop = true;
-                            stats.stopped_early = true;
-                            return false;
-                        }
+                    stats.reported += 1;
+                    if sink.on_solution(&solution) == Control::Stop {
+                        stats.stopped_early = true;
+                        return Control::Stop;
                     }
-                    children.push(solution);
-                } else {
-                    stats.duplicate_links += 1;
                 }
-                true
+                children.push(solution);
+                Control::Continue
             },
         );
-        self.stats.almost_sat.absorb(&almost_stats);
-    }
-}
-
-/// `true` iff some right vertex of `G` outside both the local solution and
-/// the host solution can be added to `partial` while keeping the k-biplex
-/// property (the right-shrinking test of Algorithm 2 line 7; right vertices
-/// of the host outside the local solution need not be tested because the
-/// local solution is maximal within the almost-satisfying graph).
-fn exists_addable_right_outside(
-    g: &BipartiteGraph,
-    partial: &PartialBiplex,
-    host: &PartialBiplex,
-    k: usize,
-) -> bool {
-    if g.num_right() as usize == partial.right().len() {
-        return false;
-    }
-    // A saturated left vertex (miss count = k) only tolerates additions
-    // adjacent to it, so its adjacency list bounds the candidates.
-    let saturated = (0..partial.left().len()).find(|&i| partial.left_miss(i) as usize >= k);
-    match saturated {
-        Some(i) => {
-            let anchor = partial.left()[i];
-            for &u in g.left_neighbors(anchor) {
-                if !partial.contains_right(u)
-                    && !host.contains_right(u)
-                    && partial.can_add_right(g, u, k)
-                {
-                    return true;
-                }
-            }
-            false
+        match outcome {
+            Expansion::Pruned => return false,
+            Expansion::Stopped => *stop = true,
+            Expansion::Done => {}
         }
-        None => {
-            if partial.left().len() <= k {
-                // No left vertex is saturated and every left vertex tolerates
-                // at least |L| ≤ k misses, so *any* right vertex outside the
-                // local solution can be added — and one exists by the size
-                // check at the top of this function.
-                true
-            } else {
-                let cands = right_extension_candidates(g, partial.left(), k);
-                for u in cands {
-                    if !partial.contains_right(u)
-                        && !host.contains_right(u)
-                        && partial.can_add_right(g, u, k)
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
-        }
+        true
     }
 }
 

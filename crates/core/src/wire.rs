@@ -61,8 +61,6 @@ const SPEC_KEYS: &[&str] = &[
     "theta_right",
     "core_reduction",
     "threads",
-    "seen_segments",
-    "steal_adaptive",
     "limit",
     "time_budget",
     "stream_buffer",
@@ -114,12 +112,6 @@ impl QuerySpec {
         }
         if self.threads != d.threads {
             pairs.push(("threads", u(self.threads as u64)));
-        }
-        if self.seen_segments != d.seen_segments {
-            pairs.push(("seen_segments", u(self.seen_segments as u64)));
-        }
-        if self.steal_adaptive != d.steal_adaptive {
-            pairs.push(("steal_adaptive", Json::Bool(self.steal_adaptive)));
         }
         if let Some(limit) = self.limit {
             pairs.push(("limit", u(limit)));
@@ -193,12 +185,6 @@ impl QuerySpec {
         }
         if let Some(v) = doc.get("threads") {
             spec.threads = v.as_usize("threads")?;
-        }
-        if let Some(v) = doc.get("seen_segments") {
-            spec.seen_segments = v.as_usize("seen_segments")?;
-        }
-        if let Some(v) = doc.get("steal_adaptive") {
-            spec.steal_adaptive = v.as_bool("steal_adaptive")?;
         }
         match doc.get("limit") {
             None | Some(Json::Null) => {}
@@ -530,8 +516,6 @@ mod tests {
             theta_right: 4,
             core_reduction: Some(false),
             threads: 8,
-            seen_segments: 2,
-            steal_adaptive: false,
             limit: Some(1000),
             time_budget: Some(Duration::new(3, 500_000_001)),
             stream_buffer: 64,
@@ -550,6 +534,25 @@ mod tests {
         assert!(QuerySpec::from_json_str("[1,2]").is_err());
         assert!(QuerySpec::from_json_str("{\"time_budget\":{\"nanos\":2000000000}}").is_err());
         assert!(QuerySpec::from_json_str("not json").is_err());
+    }
+
+    #[test]
+    fn retired_engine_codes_and_scheduler_keys_are_rejected() {
+        // The global-queue engine and the seen-set / steal-granularity
+        // knobs are gone: a document naming them is an error, never a
+        // silent fallback to the defaults.
+        for doc in [
+            r#"{"engine":"global"}"#,
+            r#"{"engine":"global-queue"}"#,
+            r#"{"seen_segments":2}"#,
+            r#"{"seen_segments":0}"#,
+            r#"{"steal_adaptive":false}"#,
+            r#"{"steal_adaptive":true}"#,
+        ] {
+            assert!(QuerySpec::from_json_str(doc).is_err(), "{doc} must be rejected");
+        }
+        let spec = QuerySpec::from_json_str(r#"{"engine":"steal"}"#).unwrap();
+        assert_eq!(spec.engine, Engine::WorkSteal);
     }
 
     #[test]

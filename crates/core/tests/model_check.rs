@@ -129,7 +129,7 @@ fn growth_protocol_mutants_are_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocols 3+4: engine termination (pending counter / condvar wakeup)
+// Protocol 3: engine termination (pending counter)
 // ---------------------------------------------------------------------------
 
 /// The reference answer, computed once by the sequential engine.
@@ -168,37 +168,8 @@ fn work_steal_engine_terminates_exactly() {
     assert_coverage(&report, "work-steal termination");
 }
 
-/// Global-queue engine under the model: the mutex+condvar hand-off must
-/// never lose a wakeup (a sleeper missing the last notify deadlocks, which
-/// the model reports as a refutation).
-#[test]
-fn global_queue_engine_terminates_exactly() {
-    let g = tiny_graph();
-    let expected = expected_solutions(&g);
-    let report = check(&Config::default(), || {
-        let mut sink = CollectSink::new();
-        let run = Enumerator::new(&g)
-            .k(1)
-            .engine(Engine::GlobalQueue)
-            .threads(2)
-            .run(&mut sink)
-            .expect("valid facade configuration");
-        let EngineStats::Parallel(stats) = run.stats else {
-            panic!("global-queue runs report parallel stats");
-        };
-        assert_eq!(
-            sink.into_sorted(),
-            expected,
-            "global-queue run must be exact on every schedule"
-        );
-        assert_eq!(stats.solutions, expected.len() as u64);
-    })
-    .unwrap_or_else(|failure| panic!("global-queue termination refuted: {failure}"));
-    assert_coverage(&report, "global-queue termination");
-}
-
 // ---------------------------------------------------------------------------
-// Protocol 5: cancellation delivery through the facade gate
+// Protocol 4: cancellation delivery through the facade gate
 // ---------------------------------------------------------------------------
 
 /// A limited run through the full `Enumerator` facade: the gate must

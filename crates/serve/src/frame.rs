@@ -55,12 +55,18 @@ impl From<std::io::Error> for FrameError {
 }
 
 /// Writes `payload` as one frame (length prefix + bytes) and flushes.
+///
+/// The prefix and the payload go out in a single write: on a socket, two
+/// small writes make the second wait for the peer's delayed ACK (Nagle), a
+/// ~40 ms stall on every frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame payload exceeds u32 length")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

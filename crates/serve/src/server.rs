@@ -389,6 +389,10 @@ impl Server {
                     let Ok(stream) = stream else {
                         continue;
                     };
+                    // Responses are small frames, often several per round
+                    // trip (pipelined requests): with Nagle on, each one
+                    // after the first waits for the client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     if let Ok(clone) = stream.try_clone() {
                         lock(&conns).push(clone);
                     }

@@ -5,7 +5,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bigraph::BipartiteGraph;
 use kbiplex::{Engine, Enumerator, QuerySpec, StopReason};
@@ -291,6 +291,59 @@ fn garbage_payload_is_rejected_but_the_connection_survives() {
     let text = std::str::from_utf8(&payload).expect("utf-8");
     assert!(text.contains("pong"), "unexpected response: {text}");
     handle.shutdown();
+}
+
+#[test]
+fn retired_engine_codes_and_scheduler_keys_get_bad_request() {
+    let g = random_graph(4, 4, 60, 2);
+    let handle = start(ServeConfig::default(), &g);
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    for spec in [r#"{"engine":"global"}"#, r#"{"seen_segments":2}"#, r#"{"steal_adaptive":false}"#]
+    {
+        let request = format!(r#"{{"type":"query","id":3,"tenant":"t","spec":{spec}}}"#);
+        write_frame(&mut raw, request.as_bytes()).expect("send query");
+        let payload =
+            read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("error frame").expect("server answered");
+        let text = std::str::from_utf8(&payload).expect("utf-8");
+        assert!(text.contains("bad-request"), "{spec}: unexpected response: {text}");
+    }
+    handle.shutdown();
+}
+
+/// Every frame leaves in one write and both ends disable Nagle, so neither
+/// a lone round trip nor a pipelined pair waits for the peer's delayed ACK
+/// (about 40 ms per exchange when a frame is split or a reply is held).
+#[test]
+fn round_trips_do_not_wait_for_delayed_acks() {
+    let g = random_graph(4, 4, 60, 2);
+    let handle = start(ServeConfig::default(), &g);
+
+    let mut client = Client::connect(handle.addr(), "latency").expect("connect");
+    let started = Instant::now();
+    for _ in 0..60 {
+        client.ping().expect("ping");
+    }
+    let lone = started.elapsed();
+
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_nodelay(true).expect("nodelay");
+    let started = Instant::now();
+    for pair in 0..60u64 {
+        for id in [2 * pair + 1, 2 * pair + 2] {
+            let ping = format!(r#"{{"type":"ping","id":{id}}}"#);
+            write_frame(&mut raw, ping.as_bytes()).expect("send ping");
+        }
+        for _ in 0..2 {
+            let payload =
+                read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("pong").expect("server answered");
+            assert!(std::str::from_utf8(&payload).expect("utf-8").contains("pong"));
+        }
+    }
+    let pipelined = started.elapsed();
+    handle.shutdown();
+
+    assert!(lone < Duration::from_secs(1), "60 lone round trips took {lone:?}");
+    assert!(pipelined < Duration::from_secs(1), "60 pipelined pairs took {pipelined:?}");
 }
 
 #[test]

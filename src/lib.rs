@@ -37,8 +37,8 @@ pub mod prelude {
         CollectSink, ConcurrentSeenSet, Control, CountingSink, DelayRecorder, DynamicConfig,
         DynamicEnumerator, DynamicError, EmitMode, Engine, EngineStats, EnumKind, Enumerator,
         FirstN, Json, JsonError, KPair, Kernel, LargeMbpParams, MaintainStats, ParallelConfig,
-        ParallelEngine, QuerySpec, RunReport, SolutionSink, SolutionStream, StopReason,
-        TraversalConfig, UpdateDiff, VertexOrder,
+        QuerySpec, RunReport, SolutionSink, SolutionStream, StopReason, TraversalConfig,
+        UpdateDiff, VertexOrder,
     };
 }
 

@@ -44,8 +44,6 @@ fn signature_pins<'g>(_g: &'g bigraph::BipartiteGraph) {
     let _thresholds: fn(Enumerator<'g>, usize, usize) -> Enumerator<'g> = Enumerator::thresholds;
     let _core_reduction: fn(Enumerator<'g>, bool) -> Enumerator<'g> = Enumerator::core_reduction;
     let _threads: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::threads;
-    let _seen_segments: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::seen_segments;
-    let _steal_adaptive: fn(Enumerator<'g>, bool) -> Enumerator<'g> = Enumerator::steal_adaptive;
     let _limit: fn(Enumerator<'g>, u64) -> Enumerator<'g> = Enumerator::limit;
     let _time_budget: fn(Enumerator<'g>, Duration) -> Enumerator<'g> = Enumerator::time_budget;
     let _stream_buffer: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::stream_buffer;
@@ -113,14 +111,17 @@ fn enums_are_exactly_the_snapshot() {
         assert_eq!(name.parse::<Algorithm>().unwrap(), a);
     }
 
-    for e in [Engine::Sequential, Engine::GlobalQueue, Engine::WorkSteal] {
+    for e in [Engine::Sequential, Engine::WorkSteal] {
         let name = match e {
             Engine::Sequential => "sequential",
-            Engine::GlobalQueue => "global",
             Engine::WorkSteal => "steal",
         };
         assert_eq!(e.to_string(), name);
         assert_eq!(name.parse::<Engine>().unwrap(), e);
+    }
+    // The retired global-queue codes stay rejected rather than aliased.
+    for retired in ["global", "global-queue"] {
+        assert!(retired.parse::<Engine>().is_err(), "{retired}");
     }
 
     for k in kbiplex::Kernel::ALL {
@@ -217,8 +218,6 @@ fn query_spec_fields_are_the_snapshot() {
         theta_right,
         core_reduction,
         threads,
-        seen_segments,
-        steal_adaptive,
         limit,
         time_budget,
         stream_buffer,
@@ -234,7 +233,7 @@ fn query_spec_fields_are_the_snapshot() {
     let _: Option<kbiplex::Anchor> = anchor;
     let _: (usize, usize) = (theta_left, theta_right);
     let _: Option<bool> = core_reduction;
-    let _: (usize, usize, bool) = (threads, seen_segments, steal_adaptive);
+    let _: usize = threads;
     let _: Option<u64> = limit;
     let _: Option<Duration> = time_budget;
     let _: usize = stream_buffer;

@@ -148,7 +148,7 @@ fn kernel_override_never_changes_the_solution_set() {
                 v.sort();
                 v
             };
-            for engine in [Engine::Sequential, Engine::GlobalQueue, Engine::WorkSteal] {
+            for engine in [Engine::Sequential, Engine::WorkSteal] {
                 for kernel in Kernel::ALL {
                     let mut e = Enumerator::new(&g).k(k).engine(engine).kernel(kernel);
                     if engine != Engine::Sequential {

@@ -27,12 +27,11 @@ fn par_run(e: &Enumerator<'_>) -> (Vec<Biplex>, ParallelStats) {
 }
 
 /// Property: for every random Chung–Lu graph, every miss budget, every
-/// thread count, both scheduler engines, every relabeling pass and every
-/// seen-set/steal-granularity knob, the parallel engine must return the
-/// *exact* canonical solution set of the sequential `iTraversal`. This is
-/// the scheduler-correctness contract: the work-stealing engine only
-/// reorders expansions, and the seen-set de-duplication makes the result a
-/// function of the graph alone.
+/// thread count, both exclusion policies and every relabeling pass, the
+/// parallel engine must return the *exact* canonical solution set of the
+/// sequential `iTraversal`. This is the scheduler-correctness contract: the
+/// work-stealing engine only reorders expansions, and the seen-set
+/// de-duplication makes the result a function of the graph alone.
 #[test]
 fn work_stealing_engine_matches_sequential_on_chung_lu_graphs() {
     for seed in 0..4u64 {
@@ -45,13 +44,15 @@ fn work_stealing_engine_matches_sequential_on_chung_lu_graphs() {
         for k in 1..=2usize {
             let sequential = enumerate_all(&g, k);
             for threads in [1usize, 2, 4, 8] {
-                for engine in [Engine::WorkSteal, Engine::GlobalQueue] {
-                    let (got, stats) =
-                        par_run(&Enumerator::new(&g).k(k).engine(engine).threads(threads));
-                    assert_eq!(
-                        got, sequential,
-                        "seed {seed} k {k} threads {threads} engine {engine:?}"
+                for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
+                    let (got, stats) = par_run(
+                        &Enumerator::new(&g)
+                            .k(k)
+                            .algorithm(algorithm)
+                            .engine(Engine::WorkSteal)
+                            .threads(threads),
                     );
+                    assert_eq!(got, sequential, "seed {seed} k {k} threads {threads} {algorithm}");
                     assert_eq!(stats.solutions as usize, sequential.len());
                 }
             }
@@ -62,62 +63,31 @@ fn work_stealing_engine_matches_sequential_on_chung_lu_graphs() {
                 );
                 assert_eq!(got, sequential, "seed {seed} k {k} order {order}");
             }
-            // The seen-set directory geometry and the steal-granularity
-            // policy are pure performance knobs: any combination must leave
-            // the solution set untouched.
-            for seen_segments in [0usize, 1, 2, 8] {
-                for steal_adaptive in [false, true] {
-                    let (got, _) = par_run(
-                        &Enumerator::new(&g)
-                            .k(k)
-                            .engine(Engine::WorkSteal)
-                            .threads(4)
-                            .seen_segments(seen_segments)
-                            .steal_adaptive(steal_adaptive),
-                    );
-                    assert_eq!(
-                        got, sequential,
-                        "seed {seed} k {k} seen-segments {seen_segments} \
-                         steal-adaptive {steal_adaptive}"
-                    );
-                }
-            }
         }
     }
 }
 
-/// Full cross of the new knobs with orders and thread counts on one
-/// dedup-heavy graph: the growable seen-set (starting from one segment so
-/// it grows mid-run) and adaptive stealing compose with every
-/// work-stealing configuration, and the global-queue engine agrees across
-/// the same orders.
+/// Full cross of orders and thread counts on one dedup-heavy graph: the
+/// work-stealer agrees with the sequential engine under every relabeling
+/// pass and thread count, with and without the host-local exclusion slice.
 #[test]
-fn seen_and_steal_knobs_compose_with_engines_and_orders() {
+fn work_steal_composes_with_orders_and_thread_counts() {
     let g = chung_lu_bipartite(11, 10, 33, 2.2, 42);
     let k = 1;
     let sequential = enumerate_all(&g, k);
     for order in [VertexOrder::Input, VertexOrder::Degree, VertexOrder::Degeneracy] {
         for threads in [2usize, 4] {
-            for (seen_segments, steal_adaptive) in [(1, true), (1, false), (0, true)] {
+            for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
                 let (got, _) = par_run(
                     &Enumerator::new(&g)
                         .k(k)
+                        .algorithm(algorithm)
                         .engine(Engine::WorkSteal)
                         .threads(threads)
-                        .order(order)
-                        .seen_segments(seen_segments)
-                        .steal_adaptive(steal_adaptive),
+                        .order(order),
                 );
-                assert_eq!(
-                    got, sequential,
-                    "steal {order} threads {threads} seen-segments {seen_segments} \
-                     steal-adaptive {steal_adaptive}"
-                );
+                assert_eq!(got, sequential, "{algorithm} {order} threads {threads}");
             }
-            let (got, _) = par_run(
-                &Enumerator::new(&g).k(k).engine(Engine::GlobalQueue).threads(threads).order(order),
-            );
-            assert_eq!(got, sequential, "global {order} threads {threads}");
         }
     }
 }

@@ -22,7 +22,7 @@ fn algorithm_strategy() -> impl Strategy<Value = Algorithm> {
 }
 
 fn engine_strategy() -> impl Strategy<Value = Engine> {
-    prop_oneof![Just(Engine::Sequential), Just(Engine::GlobalQueue), Just(Engine::WorkSteal)]
+    prop_oneof![Just(Engine::Sequential), Just(Engine::WorkSteal)]
 }
 
 fn order_strategy() -> impl Strategy<Value = VertexOrder> {
@@ -81,8 +81,6 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
         0usize..6,
         proptest::option::of(any::<bool>()),
         0usize..9,
-        0usize..17,
-        any::<bool>(),
         proptest::option::of(any::<u64>()),
         proptest::option::of(duration_strategy()),
         1usize..2048,
@@ -96,8 +94,6 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
                 theta_right,
                 core_reduction,
                 threads,
-                seen_segments,
-                steal_adaptive,
                 limit,
                 time_budget,
                 stream_buffer,
@@ -116,8 +112,6 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
             theta_right,
             core_reduction,
             threads,
-            seen_segments,
-            steal_adaptive,
             limit,
             time_budget,
             stream_buffer,
@@ -167,8 +161,6 @@ proptest! {
             .emit(spec.emit_mode)
             .thresholds(spec.theta_left, spec.theta_right)
             .threads(spec.threads)
-            .seen_segments(spec.seen_segments)
-            .steal_adaptive(spec.steal_adaptive)
             .stream_buffer(spec.stream_buffer)
             .kernel(spec.kernel);
         if let Some(kp) = spec.k_pair {
