@@ -16,18 +16,18 @@
 //! Results go to `BENCH_dynamic.json` (uploaded by CI's `bench-smoke` job).
 //!
 //! Usage: `cargo run --release -p mbpe-bench --bin bench_dynamic --
-//!         [--left 20000] [--right 20000] [--edges 100000] [--updates 1000]
+//!         [--left 2000] [--right 2000] [--edges 100000] [--updates 1000]
 //!         [--blocks 8] [--block-size 20] [--target-frac 0.5]
 //!         [--k 1] [--theta 16] [--rebuild-every 50] [--gamma 2.5]
 //!         [--seed 7] [--out BENCH_dynamic.json]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bigraph::gen::chung_lu_bipartite;
 use bigraph::BipartiteGraph;
 use kbiplex::{DynamicConfig, DynamicEnumerator};
-use mbpe_bench::Args;
+use mbpe_bench::{percentile, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,8 +76,8 @@ fn main() {
     // Planted block b occupies left/right ids [b·stride, b·stride + size).
     let stride = if blocks == 0 { 0 } else { left.min(right) / blocks as u32 };
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
-    let mut inc_secs: Vec<f64> = Vec::with_capacity(updates);
-    let mut rebuild_secs: Vec<f64> = Vec::new();
+    let mut inc_times: Vec<Duration> = Vec::with_capacity(updates);
+    let mut rebuild_times: Vec<Duration> = Vec::new();
     for step in 0..updates {
         let (v, u) = if blocks > 0 && rng.gen_bool(target_frac) {
             let b = rng.gen_range(0..blocks as u32);
@@ -89,12 +89,12 @@ fn main() {
         let start = Instant::now();
         let diff = if insert { m.insert_edge(v, u) } else { m.delete_edge(v, u) }
             .expect("in-range update");
-        inc_secs.push(start.elapsed().as_secs_f64());
+        inc_times.push(start.elapsed());
         let _ = diff;
         if rebuild_every != 0 && (step + 1) % rebuild_every == 0 {
             let start = Instant::now();
             let rebuilt = m.rebuild().expect("rebuild enumeration");
-            rebuild_secs.push(start.elapsed().as_secs_f64());
+            rebuild_times.push(start.elapsed());
             assert_eq!(
                 m.solutions(),
                 rebuilt,
@@ -105,15 +105,18 @@ fn main() {
     }
 
     let stats = m.stats().clone();
-    let inc_median = median(&mut inc_secs.clone());
-    let rebuild_median = median(&mut rebuild_secs.clone());
+    inc_times.sort_unstable();
+    rebuild_times.sort_unstable();
+    let inc_median = percentile(&inc_times, 50.0).as_secs_f64();
+    let rebuild_median = percentile(&rebuild_times, 50.0).as_secs_f64();
+    let inc_mean = inc_times.iter().sum::<Duration>().as_secs_f64() / inc_times.len().max(1) as f64;
     let speedup = if inc_median > 0.0 { rebuild_median / inc_median } else { f64::INFINITY };
     eprintln!(
         "incremental: median {:.6}s  mean {:.6}s  | rebuild: median {:.4}s ({} samples)",
         inc_median,
-        inc_secs.iter().sum::<f64>() / inc_secs.len().max(1) as f64,
+        inc_mean,
         rebuild_median,
-        rebuild_secs.len()
+        rebuild_times.len()
     );
     eprintln!(
         "updates: {} (noop {}, localized {}, fallback {})  diffs +{} -{}  max region {}",
@@ -140,13 +143,9 @@ fn main() {
     );
     let _ = writeln!(s, "  \"seed_secs\": {seed_secs:.6},");
     let _ = writeln!(s, "  \"incremental_median_secs\": {inc_median:.9},");
-    let _ = writeln!(
-        s,
-        "  \"incremental_mean_secs\": {:.9},",
-        inc_secs.iter().sum::<f64>() / inc_secs.len().max(1) as f64
-    );
+    let _ = writeln!(s, "  \"incremental_mean_secs\": {inc_mean:.9},");
     let _ = writeln!(s, "  \"rebuild_median_secs\": {rebuild_median:.6},");
-    let _ = writeln!(s, "  \"rebuild_samples\": {},", rebuild_secs.len());
+    let _ = writeln!(s, "  \"rebuild_samples\": {},", rebuild_times.len());
     let _ = writeln!(s, "  \"median_speedup\": {speedup:.2},");
     let _ = writeln!(
         s,
@@ -198,13 +197,4 @@ fn build_graph(
 /// The seed solution count is the final count minus the net diff.
 fn stats_initial(stats: &kbiplex::MaintainStats, final_len: usize) -> i64 {
     final_len as i64 - stats.added_total as i64 + stats.removed_total as i64
-}
-
-/// Median of a sample (0 when empty).
-fn median(xs: &mut [f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    xs[xs.len() / 2]
 }

@@ -19,7 +19,7 @@ use crate::graph::BipartiteGraph;
 use crate::subgraph::InducedSubgraph;
 
 /// Read-only bipartite adjacency, the interface the peeling (and its
-/// incremental variant) actually needs. Implemented by the immutable
+/// incremental variant) actually needs. Implemented by the CSR
 /// [`BipartiteGraph`] and by the mutable
 /// [`DynamicBipartiteGraph`](crate::dynamic::DynamicBipartiteGraph), so the
 /// same core-decomposition code serves both the static pipelines and the

@@ -88,6 +88,43 @@ impl Csr {
         let v = v as usize;
         self.offsets[v + 1] - self.offsets[v]
     }
+
+    /// Inserts `t` at index `pos` of source `v`'s list (`insert`), or
+    /// removes the entry `t` found there, in place: one `Vec` insert or
+    /// remove plus an offset bump for every later source.
+    pub(crate) fn splice(&mut self, v: u32, pos: usize, t: u32, insert: bool) {
+        let v = v as usize;
+        let at = self.offsets[v] + pos;
+        if insert {
+            self.targets.insert(at, t);
+            self.offsets[v + 1..].iter_mut().for_each(|o| *o += 1);
+        } else {
+            debug_assert_eq!(self.targets[at], t);
+            self.targets.remove(at);
+            self.offsets[v + 1..].iter_mut().for_each(|o| *o -= 1);
+        }
+    }
+
+    /// The edit of [`splice`](Self::splice) applied to a new CSR, built in
+    /// one pass (prefix, edit, suffix); `self` is left as it was.
+    pub(crate) fn spliced(&self, v: u32, pos: usize, t: u32, insert: bool) -> Csr {
+        let v = v as usize;
+        let at = self.offsets[v] + pos;
+        let mut targets = Vec::with_capacity(self.targets.len() + usize::from(insert));
+        targets.extend_from_slice(&self.targets[..at]);
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        offsets.extend_from_slice(&self.offsets[..=v]);
+        if insert {
+            targets.push(t);
+            targets.extend_from_slice(&self.targets[at..]);
+            offsets.extend(self.offsets[v + 1..].iter().map(|o| o + 1));
+        } else {
+            debug_assert_eq!(self.targets[at], t);
+            targets.extend_from_slice(&self.targets[at + 1..]);
+            offsets.extend(self.offsets[v + 1..].iter().map(|o| o - 1));
+        }
+        Csr { offsets, targets }
+    }
 }
 
 /// Length of the intersection of two sorted `u32` slices.

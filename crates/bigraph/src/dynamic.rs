@@ -3,7 +3,7 @@
 //! [`DynamicBipartiteGraph`] keeps per-side adjacency as sorted `Vec`s so
 //! single-edge inserts and deletes are `O(deg)` (a binary search plus a
 //! shift), while [`snapshot`](DynamicBipartiteGraph::snapshot) re-materializes
-//! an immutable CSR [`BipartiteGraph`] in `O(|V| + |E|)` *without sorting* —
+//! a CSR [`BipartiteGraph`] in `O(|V| + |E|)` *without sorting* —
 //! the lists are already sorted and deduplicated, so the snapshot is a flat
 //! copy. This is the substrate for the `kbiplex::dynamic` maintenance layer:
 //! updates mutate in place, and the enumeration pipelines that want the CSR
@@ -11,14 +11,14 @@
 //!
 //! Both mutators follow the checked-`Result` contract of
 //! [`BipartiteBuilder::add_edge`](crate::graph::BipartiteBuilder::add_edge):
-//! out-of-range endpoints are an [`Error::VertexOutOfRange`], never a panic,
-//! and the `Ok(bool)` return reports whether the edge set actually changed
-//! (inserting a present edge or deleting an absent one is a no-op).
+//! out-of-range endpoints are an [`crate::Error::VertexOutOfRange`], never a
+//! panic, and the `Ok(bool)` return reports whether the edge set actually
+//! changed (inserting a present edge or deleting an absent one is a no-op).
 
 use crate::core_decomp::BipartiteAdjacency;
 use crate::csr::Csr;
-use crate::graph::{BipartiteGraph, Side};
-use crate::{Error, Result};
+use crate::graph::{check_endpoints, BipartiteGraph};
+use crate::Result;
 
 /// A mutable, undirected, unweighted bipartite graph with sorted adjacency
 /// stored on both sides.
@@ -39,7 +39,7 @@ impl DynamicBipartiteGraph {
         }
     }
 
-    /// Copies an immutable graph into mutable form.
+    /// Copies a CSR graph into mutable form.
     pub fn from_graph(g: &BipartiteGraph) -> Self {
         let left = (0..g.num_left()).map(|v| g.left_neighbors(v).to_vec()).collect();
         let right = (0..g.num_right()).map(|u| g.right_neighbors(u).to_vec()).collect();
@@ -100,24 +100,10 @@ impl DynamicBipartiteGraph {
         }
     }
 
-    fn check(&self, v: u32, u: u32) -> Result<()> {
-        if v as usize >= self.left.len() {
-            return Err(Error::VertexOutOfRange { side: Side::Left, id: v, len: self.num_left() });
-        }
-        if u as usize >= self.right.len() {
-            return Err(Error::VertexOutOfRange {
-                side: Side::Right,
-                id: u,
-                len: self.num_right(),
-            });
-        }
-        Ok(())
-    }
-
     /// Inserts the edge `(left v, right u)`. Returns `Ok(true)` if the edge
     /// was absent (and is now present), `Ok(false)` if it already existed.
     pub fn insert_edge(&mut self, v: u32, u: u32) -> Result<bool> {
-        self.check(v, u)?;
+        check_endpoints(v, u, self.num_left(), self.num_right())?;
         let ln = &mut self.left[v as usize];
         let Err(pos) = ln.binary_search(&u) else {
             return Ok(false);
@@ -135,7 +121,7 @@ impl DynamicBipartiteGraph {
     /// Deletes the edge `(left v, right u)`. Returns `Ok(true)` if the edge
     /// was present (and is now gone), `Ok(false)` if it did not exist.
     pub fn delete_edge(&mut self, v: u32, u: u32) -> Result<bool> {
-        self.check(v, u)?;
+        check_endpoints(v, u, self.num_left(), self.num_right())?;
         let ln = &mut self.left[v as usize];
         let Ok(pos) = ln.binary_search(&u) else {
             return Ok(false);
@@ -152,7 +138,7 @@ impl DynamicBipartiteGraph {
         Ok(true)
     }
 
-    /// Re-materializes the current edge set as an immutable CSR
+    /// Re-materializes the current edge set as a CSR
     /// [`BipartiteGraph`]. The adjacency lists are already sorted, so this is
     /// a flat `O(|V| + |E|)` copy with no sorting pass.
     pub fn snapshot(&self) -> BipartiteGraph {
@@ -205,6 +191,7 @@ mod tests {
     use super::*;
     use crate::core_decomp::{alpha_beta_core, IncrementalCore};
     use crate::gen::chung_lu_bipartite;
+    use crate::{Error, Side};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -1,10 +1,12 @@
-//! The immutable CSR bipartite graph and its builder.
+//! The CSR bipartite graph and its builder.
 //!
 //! Vertices on each side use their own dense `u32` id space:
 //! `0..num_left()` on the left, `0..num_right()` on the right. Adjacency is
 //! stored twice (left→right and right→left) in CSR form with sorted
 //! neighbour lists, so `has_edge` is a binary search over the smaller of the
 //! two adjacency lists.
+
+use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::{Error, Result};
@@ -53,8 +55,15 @@ impl VertexRef {
     }
 }
 
-/// An immutable, undirected, unweighted bipartite graph stored as two
-/// [`Csr`] halves (left→right and right→left).
+/// An undirected, unweighted bipartite graph stored as two [`Csr`] halves
+/// (left→right and right→left).
+///
+/// The graph is read-only through `&self`. The one edit,
+/// [`update_shared`](Self::update_shared), works on a graph shared behind
+/// an `Arc`, copy-on-write: readers that hold the `Arc` keep the edge set
+/// they saw, and an edit of a shared graph costs one `O(|V| + |E|)` splice.
+/// [`DynamicBipartiteGraph`](crate::DynamicBipartiteGraph) is the type for
+/// `O(deg)` edits.
 #[derive(Clone, Debug, Default)]
 pub struct BipartiteGraph {
     left: Csr,
@@ -197,6 +206,58 @@ impl BipartiteGraph {
     pub fn max_right_degree(&self) -> usize {
         (0..self.num_right()).map(|u| self.right_degree(u)).max().unwrap_or(0)
     }
+
+    /// Inserts (`insert`) or deletes the edge `(left v, right u)` of a
+    /// graph behind an `Arc`, copy-on-write. Returns `Ok(true)` if the edge
+    /// set changed and `Ok(false)` for a no-op (inserting a present edge or
+    /// deleting an absent one), which leaves `g` as it was. An endpoint out
+    /// of range is an [`Error::VertexOutOfRange`], found before anything is
+    /// written.
+    ///
+    /// When nobody else holds the graph, both halves are edited in place:
+    /// a binary search, one `Vec` insert or remove and an offset bump per
+    /// half. Otherwise the edited graph is built in one pass (prefix, edge,
+    /// suffix) and replaces `g`; the other holders keep the old one.
+    pub fn update_shared(
+        g: &mut Arc<BipartiteGraph>,
+        v: u32,
+        u: u32,
+        insert: bool,
+    ) -> Result<bool> {
+        check_endpoints(v, u, g.num_left(), g.num_right())?;
+        let in_left = g.left_neighbors(v).binary_search(&u);
+        let in_right = g.right_neighbors(u).binary_search(&v);
+        debug_assert_eq!(in_left.is_ok(), in_right.is_ok(), "adjacency halves out of sync");
+        if in_left.is_ok() == insert {
+            return Ok(false);
+        }
+        let (at_left, at_right) = (in_left.unwrap_or_else(|p| p), in_right.unwrap_or_else(|p| p));
+        match Arc::get_mut(g) {
+            Some(owned) => {
+                owned.left.splice(v, at_left, u, insert);
+                owned.right.splice(u, at_right, v, insert);
+            }
+            None => {
+                *g = Arc::new(BipartiteGraph {
+                    left: g.left.spliced(v, at_left, u, insert),
+                    right: g.right.spliced(u, at_right, v, insert),
+                });
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Checks that left vertex `v` and right vertex `u` exist in a graph of
+/// `num_left` × `num_right` vertices.
+pub(crate) fn check_endpoints(v: u32, u: u32, num_left: u32, num_right: u32) -> Result<()> {
+    if v >= num_left {
+        return Err(Error::VertexOutOfRange { side: Side::Left, id: v, len: num_left });
+    }
+    if u >= num_right {
+        return Err(Error::VertexOutOfRange { side: Side::Right, id: u, len: num_right });
+    }
+    Ok(())
 }
 
 /// Incremental builder for [`BipartiteGraph`].
@@ -222,12 +283,7 @@ impl BipartiteBuilder {
     /// Adds the edge `(left v, right u)`; duplicates are removed at
     /// [`build`](Self::build) time.
     pub fn add_edge(&mut self, v: u32, u: u32) -> Result<()> {
-        if v >= self.num_left {
-            return Err(Error::VertexOutOfRange { side: Side::Left, id: v, len: self.num_left });
-        }
-        if u >= self.num_right {
-            return Err(Error::VertexOutOfRange { side: Side::Right, id: u, len: self.num_right });
-        }
+        check_endpoints(v, u, self.num_left, self.num_right)?;
         self.edges.push((v, u));
         Ok(())
     }
@@ -414,6 +470,69 @@ mod tests {
         // Double transpose is the identity.
         let tt = t.transpose();
         assert_eq!(tt.edges().collect::<Vec<_>>(), g.edges().collect::<Vec<_>>());
+    }
+
+    /// Asserts both halves of `g` equal those of the graph built from
+    /// `edges` by the reference builder.
+    fn assert_same_halves(g: &BipartiteGraph, nl: u32, nr: u32, edges: &[(u32, u32)]) {
+        let reference = BipartiteGraph::from_edges(nl, nr, edges).unwrap();
+        assert_eq!(g.num_edges(), reference.num_edges());
+        assert_eq!(g.left, reference.left);
+        assert_eq!(g.right, reference.right);
+    }
+
+    /// Random insert/delete scripts through both cases of `update_shared`:
+    /// in place when the `Arc` is unique, and a one-pass copy when another
+    /// holder (a clone taken before each step) pins the graph.
+    #[test]
+    fn update_shared_matches_reference_builder() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::BTreeSet;
+
+        for shared in [false, true] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut g = Arc::new(BipartiteGraph::from_edges(9, 7, &[]).unwrap());
+            let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
+            for _ in 0..200 {
+                let v = rng.gen_range(0..9);
+                let u = rng.gen_range(0..7);
+                let insert = rng.gen_bool(0.6);
+                let held = shared.then(|| Arc::clone(&g));
+                let before: Vec<(u32, u32)> = edges.iter().copied().collect();
+                let changed = if insert { edges.insert((v, u)) } else { edges.remove(&(v, u)) };
+                let old_ptr = Arc::as_ptr(&g);
+                assert_eq!(BipartiteGraph::update_shared(&mut g, v, u, insert).unwrap(), changed);
+                let after: Vec<(u32, u32)> = edges.iter().copied().collect();
+                assert_same_halves(&g, 9, 7, &after);
+                // In place keeps the allocation; a copy replaces it only
+                // when the edge set changed, and the holder keeps its graph.
+                assert_eq!(std::ptr::eq(old_ptr, Arc::as_ptr(&g)), !shared || !changed);
+                if let Some(held) = held {
+                    assert_same_halves(&held, 9, 7, &before);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn update_shared_rejects_and_noops_leave_the_graph() {
+        let base = paper_example();
+        let edges: Vec<(u32, u32)> = base.edges().collect();
+        let mut g = Arc::new(base);
+        let ptr = Arc::as_ptr(&g);
+        assert!(matches!(
+            BipartiteGraph::update_shared(&mut g, 5, 0, true),
+            Err(Error::VertexOutOfRange { side: Side::Left, id: 5, len: 5 })
+        ));
+        assert!(matches!(
+            BipartiteGraph::update_shared(&mut g, 0, 9, false),
+            Err(Error::VertexOutOfRange { side: Side::Right, id: 9, len: 5 })
+        ));
+        assert!(!BipartiteGraph::update_shared(&mut g, 0, 0, true).unwrap(), "present edge");
+        assert!(!BipartiteGraph::update_shared(&mut g, 2, 3, false).unwrap(), "absent edge");
+        assert!(std::ptr::eq(ptr, Arc::as_ptr(&g)));
+        assert_same_halves(&g, 5, 5, &edges);
     }
 
     #[test]

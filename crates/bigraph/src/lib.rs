@@ -3,8 +3,11 @@
 //! This crate provides the graph infrastructure shared by every algorithm in
 //! the workspace:
 //!
-//! * [`BipartiteGraph`] — an immutable, CSR-encoded undirected bipartite graph
-//!   with sorted adjacency lists on both sides and O(log d) edge queries.
+//! * [`BipartiteGraph`] — a CSR-encoded undirected bipartite graph with
+//!   sorted adjacency lists on both sides and O(log d) edge queries. It is
+//!   read-only except for one copy-on-write edit of a graph shared behind
+//!   an `Arc` ([`BipartiteGraph::update_shared`]), which costs one
+//!   O(|V| + |E|) splice.
 //! * [`BipartiteBuilder`] — incremental construction from edge pairs with
 //!   duplicate removal.
 //! * [`csr::Csr`] — the one-sided compressed-sparse-row half underlying the
@@ -25,8 +28,9 @@
 //!   plus [`IncrementalCore`], the same membership maintained under edge
 //!   updates by local cascades instead of full re-peels.
 //! * [`dynamic`] — [`DynamicBipartiteGraph`], a mutable adjacency with
-//!   checked `insert_edge`/`delete_edge` and cheap CSR re-materialization,
-//!   the substrate for incremental maximal-k-biplex maintenance.
+//!   checked O(deg) `insert_edge`/`delete_edge` and cheap CSR
+//!   re-materialization, the substrate for incremental maximal-k-biplex
+//!   maintenance.
 //! * [`subgraph`] — induced-subgraph extraction with id remapping.
 //! * [`general`] — general (unipartite) graphs and the *inflation* of a
 //!   bipartite graph used by the FaPlexen-style baseline.

@@ -18,8 +18,8 @@ USAGE:
     mbpe serve --dataset <NAME> [OPTIONS]
 
 The daemon loads the graph once and answers `mbpe query` requests until
-killed. Edge updates sent by clients swap in a fresh immutable snapshot;
-running queries keep the snapshot they started on.
+killed. Edge updates sent by clients edit the graph copy-on-write;
+running queries keep the graph they started on.
 
 OPTIONS:
     --addr <HOST:PORT>      Bind address (default 127.0.0.1:7661; port 0

@@ -177,12 +177,12 @@ impl Client {
         }
     }
 
-    /// Inserts an edge into the served graph, publishing a new snapshot.
+    /// Inserts an edge into the served graph.
     pub fn insert_edge(&mut self, left: u32, right: u32) -> Result<UpdateOutcome, ClientError> {
         self.update(UpdateOp::Insert, left, right)
     }
 
-    /// Deletes an edge from the served graph, publishing a new snapshot.
+    /// Deletes an edge from the served graph.
     pub fn delete_edge(&mut self, left: u32, right: u32) -> Result<UpdateOutcome, ClientError> {
         self.update(UpdateOp::Delete, left, right)
     }

@@ -8,10 +8,11 @@
 //! ([`frame`]) carrying JSON documents ([`proto`]), with the query payload
 //! being exactly the [`kbiplex::QuerySpec`] the in-process `Enumerator`
 //! facade is built from. The daemon ([`server`]) adds what a shared
-//! service needs on top of the facade: immutable snapshots swapped on
+//! service needs on top of the facade: one graph edited copy-on-write on
 //! update, admission control with typed overload rejections, fair-share
 //! scheduling across tenants, and server-side clamping of per-query
-//! limits and time budgets. [`client`] is the matching blocking client.
+//! limits, time budgets and thread counts. [`client`] is the matching
+//! blocking client.
 //!
 //! ```no_run
 //! use bigraph::BipartiteGraph;

@@ -24,8 +24,11 @@ pub const CODE_FRAME_TOO_LARGE: &str = "frame-too-large";
 pub const CODE_SHUTTING_DOWN: &str = "shutting-down";
 /// Error code: an edge update referenced a vertex outside the graph.
 pub const CODE_BAD_UPDATE: &str = "bad-update";
+/// Error code: the query panicked inside the server. The daemon and the
+/// connection keep serving.
+pub const CODE_INTERNAL: &str = "internal";
 
-/// An edge mutation applied to the server's dynamic graph.
+/// An edge mutation applied to the server's graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateOp {
     /// Insert the edge (no-op if present).
@@ -74,7 +77,7 @@ pub struct QueryRequest {
 pub enum Request {
     /// Run an enumeration on the current snapshot.
     Query(QueryRequest),
-    /// Mutate the dynamic graph and publish a fresh snapshot.
+    /// Insert or delete one edge of the served graph.
     Update {
         /// Correlation id, echoed in the response.
         id: u64,

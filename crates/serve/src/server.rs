@@ -1,11 +1,13 @@
 //! The always-on enumeration daemon.
 //!
-//! One [`Server`] owns two representations of the graph: an immutable
-//! [`BipartiteGraph`] snapshot behind an `Arc` (what queries run against)
-//! and a [`DynamicBipartiteGraph`] (what updates mutate). An update applies
-//! the edge mutation, re-materializes a fresh snapshot and swaps the `Arc`
-//! — queries already running keep their old snapshot alive for free, and no
-//! query ever observes a half-applied update.
+//! One [`Server`] holds one graph, a [`BipartiteGraph`] behind an `Arc` in
+//! the `current` mutex. An admitted query clones the `Arc` and runs on that
+//! graph to the end. An update edits the graph copy-on-write with
+//! [`BipartiteGraph::update_shared`] while holding `current`: in place when
+//! no admitted query holds the graph, otherwise on a copy built in one pass
+//! that replaces it. Either way the edit is one splice under the lock, so
+//! no reader observes a half-applied update, and the next admitted query
+//! sees every acknowledged one.
 //!
 //! ## Concurrency model
 //!
@@ -14,12 +16,14 @@
 //! the lock-free core lives in `kbiplex::parallel` where it is
 //! model-checked; the service layer optimizes for auditability.
 //!
-//! * one *accept* thread turning connections into *connection* threads;
+//! * one *accept* thread turning connections into *connection* threads,
+//!   and joining the connection threads that have finished;
 //! * connection threads parse frames and either answer directly (ping,
 //!   update, malformed input) or submit the query to the scheduler;
 //! * a fixed pool of *worker* threads runs queries through the
 //!   [`Enumerator`] facade and writes the response back on the submitting
-//!   connection (writes are serialized per connection by a mutex).
+//!   connection (writes are serialized per connection by a mutex). A query
+//!   that panics is answered with [`CODE_INTERNAL`]; its worker survives.
 //!
 //! ## Admission control and fairness
 //!
@@ -37,27 +41,31 @@
 //! every admitted spec (`min` of client ask and server cap), so a
 //! misbehaving client cannot run unbounded work: enforcement rides the
 //! facade's own limit/deadline gate, which cancels the engines
-//! cooperatively within one expansion.
+//! cooperatively within one expansion. A query's thread count is capped at
+//! the machine's available parallelism.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bigraph::{BipartiteGraph, DynamicBipartiteGraph};
+use bigraph::BipartiteGraph;
 use kbiplex::json::Json;
 use kbiplex::{CollectSink, CountingSink, Enumerator, QuerySpec};
 
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{
     QueryRequest, Request, Response, SnapshotInfo, UpdateOp, CODE_BAD_REQUEST, CODE_BAD_UPDATE,
-    CODE_FRAME_TOO_LARGE, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
+    CODE_FRAME_TOO_LARGE, CODE_INTERNAL, CODE_OVERLOADED, CODE_SHUTTING_DOWN,
 };
 
 /// Locks a mutex, riding over poisoning: a panicking worker must not take
 /// the whole daemon down, and every structure behind these locks is valid
-/// at every await-free point.
+/// at every await-free point. That includes the graph in `current`:
+/// `update_shared` runs every check that can fail before its first write,
+/// so it cannot stop between its two halves.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -136,15 +144,23 @@ impl Sched {
     }
 }
 
+/// Every connection's thread, with a clone of its stream so shutdown can
+/// close it. The accept loop joins and drops the finished ones.
+type ConnRegistry = Arc<Mutex<Vec<(TcpStream, JoinHandle<()>)>>>;
+
 /// State shared by every thread of one server.
 struct Shared {
     cfg: ServeConfig,
-    /// The published immutable snapshot queries run against.
+    /// The graph the next admitted query runs on; updates edit it in place
+    /// or replace it (see [`BipartiteGraph::update_shared`]).
     current: Mutex<Arc<BipartiteGraph>>,
-    /// The mutable edge set updates apply to.
-    dynamic: Mutex<DynamicBipartiteGraph>,
     sched: Mutex<Sched>,
     work: Condvar,
+}
+
+/// The shape of `g`, as responses report it.
+fn snapshot_info(g: &BipartiteGraph) -> SnapshotInfo {
+    SnapshotInfo { left: g.num_left(), right: g.num_right(), edges: g.num_edges() }
 }
 
 impl Shared {
@@ -152,18 +168,20 @@ impl Shared {
         Arc::clone(&lock(&self.current))
     }
 
-    fn snapshot_info(&self) -> SnapshotInfo {
-        let g = self.snapshot();
-        SnapshotInfo { left: g.num_left(), right: g.num_right(), edges: g.num_edges() }
-    }
-
-    /// Clamps the client's spec to the server-side caps.
+    /// Clamps the client's spec to the server-side caps, and a thread count
+    /// to the machine's parallelism. A non-zero count never becomes 0 (the
+    /// "auto" value), so the facade still rejects threads on the sequential
+    /// engine.
     fn clamp(&self, spec: &mut QuerySpec) {
         if let Some(max) = self.cfg.max_limit {
             spec.limit = Some(spec.limit.map_or(max, |l| l.min(max)));
         }
         if let Some(max) = self.cfg.max_time_budget {
             spec.time_budget = Some(spec.time_budget.map_or(max, |b| b.min(max)));
+        }
+        if spec.threads > 0 {
+            let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+            spec.threads = spec.threads.min(cpus);
         }
     }
 }
@@ -180,8 +198,17 @@ fn error_response(id: u64, code: &str, message: String) -> Response {
     Response::Error { id, code: code.to_string(), message }
 }
 
+/// A request id that makes [`run_query`] panic, to drive the panic path in
+/// tests.
+#[cfg(test)]
+const PANIC_QUERY_ID: u64 = 0xDEAD_BEEF;
+
 /// Runs one admitted query on its captured snapshot.
 fn run_query(job: &Job) -> Response {
+    #[cfg(test)]
+    if job.req.id == PANIC_QUERY_ID {
+        panic!("test hook: query {PANIC_QUERY_ID} panics");
+    }
     let e = Enumerator::from_spec(&job.snapshot, &job.req.spec);
     if job.req.include_solutions {
         let mut sink = CollectSink::new();
@@ -214,9 +241,17 @@ fn worker_loop(shared: &Shared) {
                 sched = shared.work.wait(sched).unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let resp = run_query(&job);
-        send(&job.out, &resp);
+        // A panicking query must not take its worker with it: it gets a
+        // typed error, and its tenant's slot is released like any other.
+        let resp = catch_unwind(AssertUnwindSafe(|| run_query(&job))).unwrap_or_else(|_| {
+            error_response(job.req.id, CODE_INTERNAL, "the query panicked".to_string())
+        });
+        // Release the graph and the slot before replying, so a client that
+        // has its answer finds both free: an update it sends next can edit
+        // the graph in place.
+        drop(job.snapshot);
         lock(&shared.sched).finish(&job.req.tenant);
+        send(&job.out, &resp);
     }
 }
 
@@ -237,33 +272,23 @@ fn handle_payload(shared: &Shared, out: &Arc<Mutex<TcpStream>>, payload: &[u8]) 
     };
     match req {
         Request::Ping { id } => {
-            send(out, &Response::Pong { id, snapshot: shared.snapshot_info() });
+            let snapshot = snapshot_info(&lock(&shared.current));
+            send(out, &Response::Pong { id, snapshot });
         }
         Request::Update { id, op, left, right } => {
-            // Updates serialize on the dynamic-graph lock; the snapshot
-            // swap happens inside it so publications are ordered.
-            let mut dynamic = lock(&shared.dynamic);
-            let applied = match op {
-                UpdateOp::Insert => dynamic.insert_edge(left, right),
-                UpdateOp::Delete => dynamic.delete_edge(left, right),
+            // Updates serialize on `current`, held for at most one splice:
+            // in place when no admitted query holds the graph, on a copy
+            // otherwise. A failed or no-op update writes nothing.
+            let mut current = lock(&shared.current);
+            let insert = op == UpdateOp::Insert;
+            let applied = BipartiteGraph::update_shared(&mut current, left, right, insert);
+            let snapshot = snapshot_info(&current);
+            drop(current);
+            let resp = match applied {
+                Ok(changed) => Response::Updated { id, changed, snapshot },
+                Err(e) => error_response(id, CODE_BAD_UPDATE, e.to_string()),
             };
-            match applied {
-                Ok(changed) => {
-                    let snap = Arc::new(dynamic.snapshot());
-                    let info = SnapshotInfo {
-                        left: snap.num_left(),
-                        right: snap.num_right(),
-                        edges: snap.num_edges(),
-                    };
-                    *lock(&shared.current) = snap;
-                    drop(dynamic);
-                    send(out, &Response::Updated { id, changed, snapshot: info });
-                }
-                Err(e) => {
-                    drop(dynamic);
-                    send(out, &error_response(id, CODE_BAD_UPDATE, e.to_string()));
-                }
-            }
+            send(out, &resp);
         }
         Request::Query(mut q) => {
             shared.clamp(&mut q.spec);
@@ -338,9 +363,9 @@ fn connection_loop(shared: &Shared, mut reader: TcpStream) {
             Err(FrameError::Io(_)) => break,
         }
     }
-    // Close at the socket level: the shutdown registry holds another clone
-    // of this stream, so merely dropping ours would leave the peer's
-    // connection half-open until server shutdown.
+    // Close at the socket level: the connection registry holds another
+    // clone of this stream until the accept loop reaps this thread, so
+    // merely dropping ours would leave the peer's connection half-open.
     let _ = reader.shutdown(std::net::Shutdown::Both);
 }
 
@@ -361,7 +386,6 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             cfg,
-            dynamic: Mutex::new(DynamicBipartiteGraph::from_graph(&graph)),
             current: Mutex::new(Arc::new(graph)),
             sched: Mutex::new(Sched::default()),
             work: Condvar::new(),
@@ -375,12 +399,10 @@ impl Server {
                     .spawn(move || worker_loop(&shared))?,
             );
         }
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            let conn_handles = Arc::clone(&conn_handles);
+            let registry = Arc::clone(&conns);
             std::thread::Builder::new().name("mbpe-serve-accept".to_string()).spawn(move || {
                 for stream in listener.incoming() {
                     if lock(&shared.sched).shutdown {
@@ -393,20 +415,33 @@ impl Server {
                     // trip (pipelined requests): with Nagle on, each one
                     // after the first waits for the client's delayed ACK.
                     let _ = stream.set_nodelay(true);
-                    if let Ok(clone) = stream.try_clone() {
-                        lock(&conns).push(clone);
-                    }
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
                     let shared = Arc::clone(&shared);
                     let spawned = std::thread::Builder::new()
                         .name("mbpe-serve-conn".to_string())
                         .spawn(move || connection_loop(&shared, stream));
-                    if let Ok(handle) = spawned {
-                        lock(&conn_handles).push(handle);
+                    let Ok(handle) = spawned else {
+                        continue;
+                    };
+                    // Reap finished connections here, so churn does not
+                    // pile up threads and file descriptors until shutdown.
+                    let finished = {
+                        let mut conns = lock(&registry);
+                        let (finished, mut live): (Vec<_>, Vec<_>) =
+                            conns.drain(..).partition(|(_, h)| h.is_finished());
+                        live.push((clone, handle));
+                        *conns = live;
+                        finished
+                    };
+                    for (_, handle) in finished {
+                        let _ = handle.join();
                     }
                 }
             })?
         };
-        Ok(ServerHandle { addr, shared, accept: Some(accept), workers, conns, conn_handles })
+        Ok(ServerHandle { addr, shared, accept: Some(accept), workers, conns })
     }
 }
 
@@ -416,8 +451,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: ConnRegistry,
 }
 
 impl ServerHandle {
@@ -429,7 +463,9 @@ impl ServerHandle {
 
     /// The currently published snapshot — what the next admitted query
     /// will run against. Tests use this to cross-check service responses
-    /// against a direct facade run on the same graph.
+    /// against a direct facade run on the same graph. While the returned
+    /// `Arc` is held, an update copies the graph instead of editing it in
+    /// place.
     pub fn snapshot(&self) -> Arc<BipartiteGraph> {
         self.shared.snapshot()
     }
@@ -446,15 +482,63 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        for stream in lock(&self.conns).drain(..) {
+        let conns: Vec<_> = lock(&self.conns).drain(..).collect();
+        for (stream, _) in &conns {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }
-        let handles: Vec<JoinHandle<()>> = lock(&self.conn_handles).drain(..).collect();
-        for handle in handles {
+        for (_, handle) in conns {
             let _ = handle.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Sends one request frame and reads the next response frame; the
+    /// socket's read timeout turns a lost reply into a test failure.
+    fn round_trip(stream: &mut TcpStream, req: &Request) -> Response {
+        write_frame(&mut *stream, req.to_json().encode().as_bytes()).expect("send");
+        let payload = read_frame(&mut *stream, DEFAULT_MAX_FRAME).expect("reply").expect("frame");
+        let text = std::str::from_utf8(&payload).expect("utf-8");
+        Response::from_json(&Json::parse(text).expect("json")).expect("response")
+    }
+
+    #[test]
+    fn a_panicking_query_gets_internal_and_its_worker_survives() {
+        let g = BipartiteGraph::from_edges(3, 3, &[(0, 0), (0, 1), (1, 1), (2, 2)]).expect("graph");
+        // One worker: if the panic killed it, the next query would never run.
+        let cfg = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let handle = Server::start(cfg, g).expect("server starts");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(20))).expect("timeout");
+        let query = |id| {
+            Request::Query(QueryRequest {
+                id,
+                tenant: "tenant".to_string(),
+                spec: QuerySpec::default(),
+                include_solutions: false,
+            })
+        };
+
+        match round_trip(&mut stream, &query(PANIC_QUERY_ID)) {
+            Response::Error { id, code, .. } => {
+                assert_eq!((id, code.as_str()), (PANIC_QUERY_ID, CODE_INTERNAL));
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        assert!(lock(&handle.shared.sched).running.is_empty(), "the tenant's slot leaked");
+        match round_trip(&mut stream, &query(7)) {
+            Response::Result { id, report, .. } => {
+                assert_eq!(id, 7);
+                assert!(report.solutions > 0);
+            }
+            other => panic!("expected a result, got {other:?}"),
+        }
+        handle.shutdown();
     }
 }

@@ -1,14 +1,14 @@
 //! End-to-end tests of the enumeration daemon: concurrent tenants
-//! cross-checked against the in-process facade, server-side budget
-//! clamping, typed overload rejection, protocol-framing failure modes and
-//! snapshot swaps under edge updates.
+//! cross-checked against the in-process facade, server-side budget and
+//! thread clamping, typed overload rejection, protocol-framing failure
+//! modes and copy-on-write edits under edge updates.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bigraph::BipartiteGraph;
-use kbiplex::{Engine, Enumerator, QuerySpec, StopReason};
+use kbiplex::{Engine, EngineStats, Enumerator, QuerySpec, StopReason};
 use mbpe_serve::{
     read_frame, write_frame, Client, ClientError, ServeConfig, Server, DEFAULT_MAX_FRAME,
 };
@@ -200,6 +200,67 @@ fn updates_swap_the_snapshot_and_queries_see_it() {
     let err = client.insert_edge(99, 0).expect_err("bad endpoint");
     assert_eq!(err.server_code(), Some("bad-update"), "got {err}");
     client.ping().expect("ping after bad update");
+    handle.shutdown();
+}
+
+/// An update edits the graph copy-on-write: a graph held from before keeps
+/// its edge set, while the next query runs on the edited one.
+#[test]
+fn a_held_snapshot_keeps_its_edges_across_updates() {
+    let g = random_graph(8, 8, 40, 13);
+    let handle = start(ServeConfig::default(), &g);
+    let mut client = Client::connect(handle.addr(), "holder").expect("connect");
+    let held = handle.snapshot();
+    let edges: Vec<(u32, u32)> = held.edges().collect();
+
+    let (v, u) = (0..8)
+        .flat_map(|v| (0..8).map(move |u| (v, u)))
+        .find(|&(v, u)| !g.has_edge(v, u))
+        .expect("an absent pair");
+    assert!(client.insert_edge(v, u).expect("insert").changed);
+    assert!(client.delete_edge(edges[0].0, edges[0].1).expect("delete").changed);
+
+    assert_eq!(held.edges().collect::<Vec<_>>(), edges, "the held graph changed");
+    let now = handle.snapshot();
+    assert!(now.has_edge(v, u) && !now.has_edge(edges[0].0, edges[0].1));
+    assert_eq!(now.num_edges(), held.num_edges());
+    let served = client.query(&QuerySpec::default()).expect("query after updates");
+    let expected =
+        Enumerator::from_spec(&now, &QuerySpec::default()).collect().expect("direct run");
+    assert_eq!(served.solutions.as_deref(), Some(expected.as_slice()));
+    handle.shutdown();
+}
+
+/// A redundant insert and a rejected update write nothing, so the served
+/// graph is the same allocation before and after.
+#[test]
+fn noop_and_rejected_updates_publish_nothing() {
+    let g = random_graph(6, 6, 50, 17);
+    let (v, u) = g.edges().next().expect("an edge");
+    let handle = start(ServeConfig::default(), &g);
+    let mut client = Client::connect(handle.addr(), "noop").expect("connect");
+    let before = handle.snapshot();
+    assert!(!client.insert_edge(v, u).expect("redundant insert").changed);
+    let err = client.delete_edge(6, 0).expect_err("out of range");
+    assert_eq!(err.server_code(), Some("bad-update"), "got {err}");
+    assert!(std::sync::Arc::ptr_eq(&before, &handle.snapshot()));
+    handle.shutdown();
+}
+
+/// A wire query cannot ask for more threads than the machine has.
+#[test]
+fn thread_count_is_capped_at_available_parallelism() {
+    let g = random_graph(10, 10, 50, 7);
+    let handle = start(ServeConfig::default(), &g);
+    let mut client = Client::connect(handle.addr(), "greedy").expect("connect");
+    let spec = QuerySpec { engine: Engine::WorkSteal, threads: 64, ..QuerySpec::default() };
+    let report = client.count(&spec).expect("query");
+    let EngineStats::Parallel(stats) = &report.stats else {
+        panic!("expected parallel stats, got {:?}", report.stats);
+    };
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(stats.threads <= cpus, "{} threads on {cpus} CPUs", stats.threads);
+    assert!(stats.threads >= 1);
     handle.shutdown();
 }
 

@@ -52,7 +52,7 @@ pub struct LockHierarchy {
     /// Path prefix (workspace-relative) the hierarchy governs.
     pub scope: &'static str,
     /// Lock names (field/variable identifiers) in acquisition order:
-    /// `["sched", "dynamic", "current"]` means `sched < dynamic < current`.
+    /// `["sched", "current"]` means `sched < current`.
     pub order: &'static [&'static str],
 }
 
@@ -60,11 +60,11 @@ pub struct LockHierarchy {
 ///
 /// `crates/serve`: the scheduler lock is the hottest and outermost —
 /// admission and worker pick run under `sched` alone; an update holds
-/// `dynamic` while publishing into `current` (swap-under-update keeps
-/// publications ordered), so `dynamic < current`; nothing may acquire
-/// `sched` while holding either graph lock, or re-acquire a held lock.
+/// `current`, the graph lock, for one copy-on-write splice and takes no
+/// other lock; nothing may acquire `sched` while holding `current`, or
+/// re-acquire a held lock.
 pub const LOCK_HIERARCHIES: &[LockHierarchy] =
-    &[LockHierarchy { scope: "crates/serve/src/", order: &["sched", "dynamic", "current"] }];
+    &[LockHierarchy { scope: "crates/serve/src/", order: &["sched", "current"] }];
 
 /// One deliberate guard-held-across-blocking site. The entry *is* the
 /// audit trail: the invariant string states why the hold is correct.

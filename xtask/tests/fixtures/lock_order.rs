@@ -1,10 +1,10 @@
 // lint-as: crates/serve/src/mutant.rs
 // expect-rule: lock-order
-//! Seeded mutant: acquires the published-graph lock, then the scheduler
-//! lock — the reverse of the declared `sched < dynamic < current`
-//! hierarchy. An update thread holding `dynamic` while waiting for
-//! `current` plus this thread holding `current` while waiting for `sched`
-//! (held by a worker that wants `current`) is a deadlock cycle.
+//! Seeded mutant: acquires the graph lock, then the scheduler lock — the
+//! reverse of the declared `sched < current` hierarchy. This thread
+//! holding `current` while waiting for `sched`, plus an admitting thread
+//! holding `sched` while waiting for `current`, is a deadlock cycle: each
+//! waits for the lock the other holds.
 
 use std::sync::{Mutex, MutexGuard};
 
