@@ -142,6 +142,20 @@ pub fn is_maximal_k_biplex(g: &BipartiteGraph, left: &[u32], right: &[u32], k: u
     true
 }
 
+/// Positions, in ascending order, of the members of the sorted set
+/// `members` that are absent from the sorted list `nbrs`: the members a
+/// vertex with neighbour list `nbrs` misses. One merge walk; a caller that
+/// knows the miss count stops it at the last miss with `take`.
+fn miss_positions<'a>(members: &'a [u32], nbrs: &'a [u32]) -> impl Iterator<Item = usize> + 'a {
+    let mut ni = 0;
+    members.iter().enumerate().filter_map(move |(i, &x)| {
+        while ni < nbrs.len() && nbrs[ni] < x {
+            ni += 1;
+        }
+        (ni == nbrs.len() || nbrs[ni] != x).then_some(i)
+    })
+}
+
 /// A mutable working solution with cached per-vertex miss counts.
 ///
 /// `left[i]` misses exactly `left_miss[i]` vertices of `right`, and
@@ -223,55 +237,57 @@ impl PartialBiplex {
     /// k-biplex property: `v` must miss at most `k` vertices of `R`, and no
     /// right vertex that misses `v` may already be at its budget `k`.
     pub fn can_add_left(&self, g: &BipartiteGraph, v: u32, k: usize) -> bool {
-        debug_assert!(!self.contains_left(v));
-        let nbrs = g.left_neighbors(v);
         // Kernel-counted misses first: most candidates either miss nothing
         // (no budgets to re-check) or bust their own budget outright, and
-        // the counting kernels beat the budget merge walk below.
-        let v_misses = self.right.len() - sorted_intersection_len(nbrs, &self.right);
-        if v_misses > k {
+        // the counting kernels beat the budget walk.
+        let misses = left_misses(g, v, &self.right);
+        self.can_add_left_with_misses(g, v, misses, k)
+    }
+
+    /// [`can_add_left`](Self::can_add_left) for a vertex whose miss count
+    /// `δ̄(v, R)` the caller already knows exactly: no intersection, and no
+    /// budget walk when `misses = 0`.
+    pub(crate) fn can_add_left_with_misses(
+        &self,
+        g: &BipartiteGraph,
+        v: u32,
+        misses: usize,
+        k: usize,
+    ) -> bool {
+        debug_assert!(!self.contains_left(v));
+        if misses > k {
             return false;
         }
-        if v_misses == 0 {
-            return true;
-        }
-        // 1..=k misses: walk `right` against `nbrs` to check the budgets of
-        // the right vertices that would gain a miss.
-        let mut ni = 0;
-        for (ri, &u) in self.right.iter().enumerate() {
-            while ni < nbrs.len() && nbrs[ni] < u {
-                ni += 1;
-            }
-            let adjacent = ni < nbrs.len() && nbrs[ni] == u;
-            if !adjacent && self.right_miss[ri] as usize + 1 > k {
-                return false;
-            }
-        }
-        true
+        // 1..=k misses: the right vertices that would gain a miss must be
+        // below their budget.
+        misses == 0
+            || miss_positions(&self.right, g.left_neighbors(v))
+                .take(misses)
+                .all(|ri| (self.right_miss[ri] as usize) < k)
     }
 
     /// Symmetric to [`can_add_left`](Self::can_add_left) for a right vertex.
     pub fn can_add_right(&self, g: &BipartiteGraph, u: u32, k: usize) -> bool {
+        let misses = right_misses(g, u, &self.left);
+        self.can_add_right_with_misses(g, u, misses, k)
+    }
+
+    /// Symmetric to [`can_add_left_with_misses`](Self::can_add_left_with_misses).
+    pub(crate) fn can_add_right_with_misses(
+        &self,
+        g: &BipartiteGraph,
+        u: u32,
+        misses: usize,
+        k: usize,
+    ) -> bool {
         debug_assert!(!self.contains_right(u));
-        let nbrs = g.right_neighbors(u);
-        let u_misses = self.left.len() - sorted_intersection_len(nbrs, &self.left);
-        if u_misses > k {
+        if misses > k {
             return false;
         }
-        if u_misses == 0 {
-            return true;
-        }
-        let mut ni = 0;
-        for (li, &v) in self.left.iter().enumerate() {
-            while ni < nbrs.len() && nbrs[ni] < v {
-                ni += 1;
-            }
-            let adjacent = ni < nbrs.len() && nbrs[ni] == v;
-            if !adjacent && self.left_miss[li] as usize + 1 > k {
-                return false;
-            }
-        }
-        true
+        misses == 0
+            || miss_positions(&self.left, g.right_neighbors(u))
+                .take(misses)
+                .all(|li| (self.left_miss[li] as usize) < k)
     }
 
     /// Side-dispatching version of the `can_add_*` checks.
@@ -286,46 +302,44 @@ impl PartialBiplex {
     /// responsible for having checked `can_add_left` when the k-biplex
     /// property must be preserved.
     pub fn add_left(&mut self, g: &BipartiteGraph, v: u32) {
+        let misses = left_misses(g, v, &self.right);
+        self.add_left_with_misses(g, v, misses);
+    }
+
+    /// [`add_left`](Self::add_left) for a vertex that misses exactly
+    /// `misses` vertices of `R`: no intersection, and the walk that charges
+    /// the missed right vertices stops at the last of them (a vertex that
+    /// misses nothing skips it).
+    pub(crate) fn add_left_with_misses(&mut self, g: &BipartiteGraph, v: u32, misses: usize) {
+        debug_assert_eq!(misses, left_misses(g, v, &self.right));
         let pos = match self.left.binary_search(&v) {
             Ok(_) => return,
             Err(pos) => pos,
         };
-        let miss = left_misses(g, v, &self.right) as u32;
         self.left.insert(pos, v);
-        self.left_miss.insert(pos, miss);
-        // Every right vertex not adjacent to v gains one miss.
-        let nbrs = g.left_neighbors(v);
-        let mut ni = 0;
-        for (ri, &u) in self.right.iter().enumerate() {
-            while ni < nbrs.len() && nbrs[ni] < u {
-                ni += 1;
-            }
-            let adjacent = ni < nbrs.len() && nbrs[ni] == u;
-            if !adjacent {
-                self.right_miss[ri] += 1;
-            }
+        self.left_miss.insert(pos, misses as u32);
+        for ri in miss_positions(&self.right, g.left_neighbors(v)).take(misses) {
+            self.right_miss[ri] += 1;
         }
     }
 
     /// Adds right vertex `u`, updating all miss counters.
     pub fn add_right(&mut self, g: &BipartiteGraph, u: u32) {
+        let misses = right_misses(g, u, &self.left);
+        self.add_right_with_misses(g, u, misses);
+    }
+
+    /// Symmetric to [`add_left_with_misses`](Self::add_left_with_misses).
+    pub(crate) fn add_right_with_misses(&mut self, g: &BipartiteGraph, u: u32, misses: usize) {
+        debug_assert_eq!(misses, right_misses(g, u, &self.left));
         let pos = match self.right.binary_search(&u) {
             Ok(_) => return,
             Err(pos) => pos,
         };
-        let miss = right_misses(g, u, &self.left) as u32;
         self.right.insert(pos, u);
-        self.right_miss.insert(pos, miss);
-        let nbrs = g.right_neighbors(u);
-        let mut ni = 0;
-        for (li, &v) in self.left.iter().enumerate() {
-            while ni < nbrs.len() && nbrs[ni] < v {
-                ni += 1;
-            }
-            let adjacent = ni < nbrs.len() && nbrs[ni] == v;
-            if !adjacent {
-                self.left_miss[li] += 1;
-            }
+        self.right_miss.insert(pos, misses as u32);
+        for li in miss_positions(&self.left, g.right_neighbors(u)).take(misses) {
+            self.left_miss[li] += 1;
         }
     }
 
@@ -344,17 +358,9 @@ impl PartialBiplex {
             Err(_) => return,
         };
         self.left.remove(pos);
-        self.left_miss.remove(pos);
-        let nbrs = g.left_neighbors(v);
-        let mut ni = 0;
-        for (ri, &u) in self.right.iter().enumerate() {
-            while ni < nbrs.len() && nbrs[ni] < u {
-                ni += 1;
-            }
-            let adjacent = ni < nbrs.len() && nbrs[ni] == u;
-            if !adjacent {
-                self.right_miss[ri] -= 1;
-            }
+        let misses = self.left_miss.remove(pos) as usize;
+        for ri in miss_positions(&self.right, g.left_neighbors(v)).take(misses) {
+            self.right_miss[ri] -= 1;
         }
     }
 

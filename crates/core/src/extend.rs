@@ -9,6 +9,17 @@
 //! maximal k-biplex and the result is a deterministic function of the input
 //! — the requirement the reverse-search framework places on the extension
 //! step.
+//!
+//! Only a vertex with at least `|S| − k` neighbours in the opposite side
+//! `S` can join, so each pass first filters its side by counting. For
+//! `k ≥ 1` the counting is one dense occurrence tally per thread: every id
+//! of every neighbour list of `S` bumps its counter, and the ids that reach
+//! `|S| − k` are the candidates. The tally keeps each candidate's hit count
+//! `|N(v) ∩ S|`, and `S` does not change during the pass, so the pass knows
+//! every candidate's miss count without intersecting its neighbours with
+//! `S` again. For `k = 0` the filter is the intersection of the lists.
+
+use std::cell::RefCell;
 
 use bigraph::intersect::intersection_into;
 use bigraph::BipartiteGraph;
@@ -28,39 +39,42 @@ pub enum ExtendMode {
 /// Collects the left vertices that could possibly be added to a solution
 /// whose right side is `right`: a left vertex needs at least
 /// `|right| − k` neighbours inside `right`. When `|right| ≤ k` every left
-/// vertex qualifies trivially and the full range is returned.
+/// vertex qualifies trivially.
 ///
-/// The returned list is sorted and excludes nothing else — the caller still
-/// runs the exact [`PartialBiplex::can_add_left`] check.
-pub fn left_extension_candidates(g: &BipartiteGraph, right: &[u32], k: usize) -> Vec<u32> {
-    if right.len() <= k {
-        return (0..g.num_left()).collect();
-    }
-    if k == 0 {
-        return intersect_all(right.iter().map(|&u| g.right_neighbors(u)));
-    }
-    let need = right.len() - k;
-    count_candidates(right.iter().map(|&u| g.right_neighbors(u)), need)
+/// Returns `(id, hits)` pairs sorted by id, where `hits = |N(id) ∩ right|`
+/// exactly, so a caller holding `right` fixed knows each candidate's miss
+/// count `|right| − hits` without intersecting again. The list excludes
+/// nothing else: the budgets of `right` are still the caller's to check.
+pub fn left_extension_candidates(g: &BipartiteGraph, right: &[u32], k: usize) -> Vec<(u32, u32)> {
+    extension_candidates(g.num_left(), right.iter().map(|&u| g.right_neighbors(u)), right.len(), k)
 }
 
 /// Symmetric to [`left_extension_candidates`] for the right side.
-pub fn right_extension_candidates(g: &BipartiteGraph, left: &[u32], k: usize) -> Vec<u32> {
-    if left.len() <= k {
-        return (0..g.num_right()).collect();
+pub fn right_extension_candidates(g: &BipartiteGraph, left: &[u32], k: usize) -> Vec<(u32, u32)> {
+    extension_candidates(g.num_right(), left.iter().map(|&v| g.left_neighbors(v)), left.len(), k)
+}
+
+/// The filter behind both sides: ids in `0..n` occurring in at least
+/// `len − k` of the `len` sorted `lists`, with their occurrence counts.
+fn extension_candidates<'a, I: Iterator<Item = &'a [u32]>>(
+    n: u32,
+    lists: I,
+    len: usize,
+    k: usize,
+) -> Vec<(u32, u32)> {
+    if k == 0 && len > 0 {
+        let hits = len as u32;
+        return intersect_all(lists).into_iter().map(|id| (id, hits)).collect();
     }
-    if k == 0 {
-        return intersect_all(left.iter().map(|&v| g.left_neighbors(v)));
-    }
-    let need = left.len() - k;
-    count_candidates(left.iter().map(|&v| g.left_neighbors(v)), need)
+    count_candidates(n, lists, len.saturating_sub(k))
 }
 
 /// `k = 0` counting filter: a candidate must occur in *every* list, so the
-/// answer is exactly the intersection of all neighbour lists. Iterated
-/// kernel intersections through [`bigraph::intersect`] (shortest list
-/// first, the accumulator only shrinks, skewed steps gallop) beat the
-/// gather-sort pool scan of [`count_candidates`], which is linear in the
-/// *sum* of the list lengths.
+/// answer is exactly the intersection of all neighbour lists (and every
+/// candidate's hit count is the number of lists). Iterated kernel
+/// intersections through [`bigraph::intersect`] (shortest list first, the
+/// accumulator only shrinks, skewed steps gallop) touch fewer ids than the
+/// tally of [`count_candidates`], which reads every id of every list.
 fn intersect_all<'a, I: Iterator<Item = &'a [u32]>>(lists: I) -> Vec<u32> {
     let mut lists: Vec<&[u32]> = lists.collect();
     let Some(min_idx) = (0..lists.len()).min_by_key(|&i| lists[i].len()) else {
@@ -78,36 +92,80 @@ fn intersect_all<'a, I: Iterator<Item = &'a [u32]>>(lists: I) -> Vec<u32> {
     acc
 }
 
-/// Concatenates the given sorted CSR neighbour slices, sorts the pool once
-/// and scans it for ids occurring at least `need` times. Everything is a
-/// contiguous array pass (gather, sort, run-length scan) — measurably
-/// cheaper than the hash-map histogram it replaces, whose random probes
-/// dominated the extension step on skewed graphs.
-fn count_candidates<'a, I: Iterator<Item = &'a [u32]>>(lists: I, need: usize) -> Vec<u32> {
-    let mut pool: Vec<u32> = Vec::new();
-    for list in lists {
-        pool.extend_from_slice(list);
-    }
-    pool.sort_unstable();
-    let mut cands = Vec::new();
-    let mut i = 0;
-    while i < pool.len() {
-        let id = pool[i];
-        let mut j = i + 1;
-        while j < pool.len() && pool[j] == id {
-            j += 1;
+/// A dense occurrence tally: one counter per vertex id of the largest side
+/// counted on so far, plus the ids the current call has touched.
+#[derive(Default)]
+struct Tally {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+thread_local! {
+    /// This thread's tally for [`count_candidates`]. Thread-local, like the
+    /// kernel override of [`bigraph::intersect`], so the engines' workers
+    /// never share or lock it and no signature has to carry it.
+    static TALLY: RefCell<Tally> = RefCell::new(Tally::default());
+}
+
+/// Counts how often each id of `0..n` occurs in the sorted `lists` and
+/// returns the ids occurring at least `need` times as `(id, count)` pairs,
+/// sorted by id. With `need = 0` every id of `0..n` is returned.
+///
+/// Each occurrence is one increment in the thread's dense [`Tally`]; the
+/// first increment of an id records it in the touched list, which bounds
+/// the scan for candidates and the reset to the ids this call saw, and only
+/// the candidates are sorted. Every counter is zero between calls: the scan
+/// resets what it reads, and a call that unwound part-way (a panicking
+/// `lists`) is cleaned up from its touched list at the start of the next
+/// call on the thread.
+fn count_candidates<'a, I: Iterator<Item = &'a [u32]>>(
+    n: u32,
+    lists: I,
+    need: usize,
+) -> Vec<(u32, u32)> {
+    TALLY.with(|tally| {
+        let mut tally = tally.borrow_mut();
+        let Tally { counts, touched } = &mut *tally;
+        for id in touched.drain(..) {
+            counts[id as usize] = 0;
         }
-        if j - i >= need {
-            cands.push(id);
+        if counts.len() < n as usize {
+            counts.resize(n as usize, 0);
         }
-        i = j;
-    }
-    cands
+        for list in lists {
+            for &id in list {
+                let c = &mut counts[id as usize];
+                if *c == 0 {
+                    touched.push(id);
+                }
+                *c += 1;
+            }
+        }
+        let mut cands = Vec::new();
+        if need == 0 {
+            cands.extend((0..n).map(|id| (id, std::mem::take(&mut counts[id as usize]))));
+            touched.clear();
+        } else {
+            for id in touched.drain(..) {
+                let hits = std::mem::take(&mut counts[id as usize]);
+                if hits as usize >= need {
+                    cands.push((id, hits));
+                }
+            }
+            cands.sort_unstable();
+        }
+        cands
+    })
 }
 
 /// Extends `partial` (which must already be a k-biplex) to a maximal
 /// k-biplex of `g` in place, following the preset order. `mode` selects
 /// which sides may contribute new vertices.
+///
+/// Each pass draws its candidates from the counting filter and keeps the
+/// opposite side fixed while it adds, so a candidate's hit count gives its
+/// exact miss count: a candidate that misses nothing joins without a budget
+/// walk, the others without a fresh intersection.
 pub fn extend_to_maximal(
     g: &BipartiteGraph,
     partial: &mut PartialBiplex,
@@ -117,22 +175,24 @@ pub fn extend_to_maximal(
     debug_assert!(partial.is_k_biplex(k));
 
     // Left side first (ascending id), then — for BothSides — the right side.
-    if partial.right().len() <= k {
+    let r = partial.right().len();
+    if r <= k {
         extend_left_small_right(g, partial, k);
     } else {
-        let left_cands = left_extension_candidates(g, partial.right(), k);
-        for v in left_cands {
-            if !partial.contains_left(v) && partial.can_add_left(g, v, k) {
-                partial.add_left(g, v);
+        for (v, hits) in left_extension_candidates(g, partial.right(), k) {
+            let misses = r - hits as usize;
+            if !partial.contains_left(v) && partial.can_add_left_with_misses(g, v, misses, k) {
+                partial.add_left_with_misses(g, v, misses);
             }
         }
     }
 
     if mode == ExtendMode::BothSides {
-        let right_cands = right_extension_candidates(g, partial.left(), k);
-        for u in right_cands {
-            if !partial.contains_right(u) && partial.can_add_right(g, u, k) {
-                partial.add_right(g, u);
+        let l = partial.left().len();
+        for (u, hits) in right_extension_candidates(g, partial.left(), k) {
+            let misses = l - hits as usize;
+            if !partial.contains_right(u) && partial.can_add_right_with_misses(g, u, misses, k) {
+                partial.add_right_with_misses(g, u, misses);
             }
         }
         // Adding right vertices can never unlock additional left vertices
@@ -175,7 +235,7 @@ fn extend_left_small_right(g: &BipartiteGraph, partial: &mut PartialBiplex, k: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::biplex::{is_k_biplex, is_maximal_k_biplex};
+    use crate::biplex::{is_k_biplex, is_maximal_k_biplex, left_misses};
     use bigraph::BipartiteGraph;
 
     fn fixture() -> BipartiteGraph {
@@ -250,8 +310,14 @@ mod tests {
             let cands = left_extension_candidates(&g, &right, k);
             for v in 0..g.num_left() {
                 if p.can_add_left(&g, v, k) {
-                    assert!(cands.contains(&v), "k {k}: addable vertex {v} filtered out");
+                    assert!(
+                        cands.iter().any(|&(c, _)| c == v),
+                        "k {k}: addable vertex {v} filtered out"
+                    );
                 }
+            }
+            for &(v, hits) in &cands {
+                assert_eq!(hits as usize, right.len() - left_misses(&g, v, &right), "k {k}, v {v}");
             }
         }
     }
@@ -260,9 +326,13 @@ mod tests {
     fn candidate_filter_small_right_side_returns_everything() {
         let g = fixture();
         let cands = left_extension_candidates(&g, &[2], 1);
-        assert_eq!(cands.len(), g.num_left() as usize);
+        let ids: Vec<u32> = cands.iter().map(|&(v, _)| v).collect();
+        assert_eq!(ids, (0..g.num_left()).collect::<Vec<_>>());
+        // Vertex 2 misses right vertex 2; every other left vertex hits it.
+        assert!(cands.iter().all(|&(v, hits)| hits == u32::from(v != 2)));
         let cands = right_extension_candidates(&g, &[], 0);
         assert_eq!(cands.len(), g.num_right() as usize);
+        assert!(cands.iter().all(|&(_, hits)| hits == 0));
     }
 
     #[test]
@@ -270,14 +340,47 @@ mod tests {
         let g = fixture();
         for right in [vec![0u32, 1, 3], vec![0, 1, 2, 3, 4], vec![2, 4]] {
             let via_intersect = left_extension_candidates(&g, &right, 0);
-            let via_pool =
-                count_candidates(right.iter().map(|&u| g.right_neighbors(u)), right.len());
-            assert_eq!(via_intersect, via_pool, "right = {right:?}");
+            let via_tally = count_candidates(
+                g.num_left(),
+                right.iter().map(|&u| g.right_neighbors(u)),
+                right.len(),
+            );
+            assert_eq!(via_intersect, via_tally, "right = {right:?}");
         }
         for left in [vec![0u32, 2], vec![1, 3, 4]] {
             let via_intersect = right_extension_candidates(&g, &left, 0);
-            let via_pool = count_candidates(left.iter().map(|&v| g.left_neighbors(v)), left.len());
-            assert_eq!(via_intersect, via_pool, "left = {left:?}");
+            let via_tally = count_candidates(
+                g.num_right(),
+                left.iter().map(|&v| g.left_neighbors(v)),
+                left.len(),
+            );
+            assert_eq!(via_intersect, via_tally, "left = {left:?}");
+        }
+    }
+
+    #[test]
+    fn tally_reads_zero_after_a_call_unwound_mid_count() {
+        let g = fixture();
+        let right = [0u32, 1, 3];
+        let brute = |k: usize| -> Vec<(u32, u32)> {
+            (0..g.num_left())
+                .map(|v| (v, (right.len() - left_misses(&g, v, &right)) as u32))
+                .filter(|&(_, hits)| hits as usize + k >= right.len())
+                .collect()
+        };
+        // The first list is counted, then the iterator panics: the tally
+        // is left holding counts when the call unwinds.
+        let unwound = std::panic::catch_unwind(|| {
+            let mut lists = right.iter().map(|&u| g.right_neighbors(u));
+            let first = lists.next();
+            let panicking = first
+                .into_iter()
+                .chain(std::iter::from_fn(|| panic!("list source failed mid-count")));
+            count_candidates(g.num_left(), panicking, 1)
+        });
+        assert!(unwound.is_err());
+        for k in 1..=2 {
+            assert_eq!(left_extension_candidates(&g, &right, k), brute(k), "k = {k}");
         }
     }
 

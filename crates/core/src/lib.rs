@@ -92,8 +92,7 @@ pub use large::{LargeMbpParams, LargeMbpReport, ParLargeMbpReport};
 pub use parallel::seen::ConcurrentSeenSet;
 pub use parallel::{ParallelConfig, ParallelStats};
 pub use sink::{
-    CollectSink, Control, CountingSink, DelayRecorder, DelayReport, FirstN, SizeFilter,
-    SolutionSink,
+    CollectSink, Control, CountingSink, DelayRecorder, DelayReport, FirstN, SolutionSink,
 };
 pub use stats::TraversalStats;
 pub use store::{BTreeStore, HashStore, SolutionStore};

@@ -190,46 +190,6 @@ pub struct DelayReport {
     pub mean_delay: Duration,
 }
 
-/// Wraps another sink and only forwards solutions whose sides meet minimum
-/// size thresholds — post-filtering used by baselines that cannot push the
-/// size constraint into the search itself.
-#[derive(Debug)]
-pub struct SizeFilter<S> {
-    inner: S,
-    min_left: usize,
-    min_right: usize,
-    /// How many solutions were dropped by the filter.
-    pub filtered_out: u64,
-}
-
-impl<S: SolutionSink> SizeFilter<S> {
-    /// Forwards only solutions with `|L| ≥ min_left` and `|R| ≥ min_right`.
-    pub fn new(inner: S, min_left: usize, min_right: usize) -> Self {
-        SizeFilter { inner, min_left, min_right, filtered_out: 0 }
-    }
-
-    /// Returns the wrapped sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// Access to the wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: SolutionSink> SolutionSink for SizeFilter<S> {
-    fn on_solution(&mut self, solution: &Biplex) -> Control {
-        if solution.left.len() >= self.min_left && solution.right.len() >= self.min_right {
-            self.inner.on_solution(solution)
-        } else {
-            self.filtered_out += 1;
-            Control::Continue
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,17 +273,6 @@ mod tests {
         let report = rec.finish();
         assert_eq!(report.solutions, 0);
         assert_eq!(report.max_delay, report.total);
-    }
-
-    #[test]
-    fn size_filter_forwards_only_large() {
-        let mut sink = SizeFilter::new(CollectSink::new(), 1, 2);
-        sink.on_solution(&Biplex::new(vec![1], vec![1, 2]));
-        sink.on_solution(&Biplex::new(vec![1], vec![1]));
-        sink.on_solution(&Biplex::new(vec![], vec![1, 2, 3]));
-        assert_eq!(sink.filtered_out, 2);
-        assert_eq!(sink.inner().solutions.len(), 1);
-        assert_eq!(sink.into_inner().solutions[0].right, vec![1, 2]);
     }
 
     #[test]

@@ -224,16 +224,19 @@ fn exists_addable_right_outside(
                 // check at the top of this function.
                 true
             } else {
-                let cands = right_extension_candidates(g, partial.left(), k);
-                for u in cands {
-                    if !partial.contains_right(u)
-                        && !host.contains_right(u)
-                        && partial.can_add_right(g, u, k)
-                    {
-                        return true;
-                    }
-                }
-                false
+                // A candidate misses |L| − hits ≤ k left vertices, and
+                // every left vertex is below its budget, so each candidate
+                // outside both solutions can be added: the filter's count
+                // stands in for the intersection and the budget walk of
+                // `can_add_right`.
+                let l = partial.left().len();
+                right_extension_candidates(g, partial.left(), k).into_iter().any(|(u, hits)| {
+                    let outside = !partial.contains_right(u) && !host.contains_right(u);
+                    debug_assert!(
+                        !outside || partial.can_add_right_with_misses(g, u, l - hits as usize, k)
+                    );
+                    outside
+                })
             }
         }
     }
