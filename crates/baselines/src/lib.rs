@@ -11,7 +11,7 @@
 //!
 //! (`bTraversal`, the third baseline, shares the reverse-search engine of
 //! the `kbiplex` crate and is obtained with
-//! [`kbiplex::TraversalConfig::btraversal`].)
+//! [`kbiplex::Algorithm::BTraversal`].)
 //!
 //! Every baseline is cross-validated against the brute-force oracle and
 //! against `iTraversal` in this crate's tests, so the running-time

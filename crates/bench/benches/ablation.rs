@@ -1,7 +1,8 @@
 //! Ablation benches for the engineering choices `DESIGN.md` calls out but
 //! the paper does not plot:
 //!
-//! * solution store: hash set versus the paper's B-tree (ordered) store;
+//! * solution store: insert cost of the hash store the traversal engine
+//!   de-duplicates with;
 //! * anchor side: the left-anchored initial solution `(L0, R)` versus the
 //!   symmetric right-anchored `(L, R0)` (the comparison the paper relegates
 //!   to its technical report);
@@ -11,12 +12,11 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kbiplex::store::{BTreeStore, HashStore, SolutionStore};
+use kbiplex::store::{HashStore, SolutionStore};
 use kbiplex::{Anchor, Biplex, CountingSink, EnumKind, Enumerator};
 
 fn bench_store(c: &mut Criterion) {
-    // Isolate the store: insert the full MBP set of a mid-sized graph into
-    // each store implementation.
+    // Isolate the store: insert the full MBP set of a mid-sized graph.
     let g = bigraph::gen::er::er_bipartite(300, 300, 1_200, 5);
     let solutions: Vec<Biplex> = Enumerator::new(&g).k(1).collect().expect("valid");
 
@@ -25,12 +25,6 @@ fn bench_store(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("insert", "hash"), |b| {
         b.iter(|| {
             let mut store = HashStore::new();
-            solutions.iter().filter(|s| store.insert(s)).count()
-        });
-    });
-    group.bench_function(BenchmarkId::new("insert", "btree"), |b| {
-        b.iter(|| {
-            let mut store = BTreeStore::new();
             solutions.iter().filter(|s| store.insert(s)).count()
         });
     });

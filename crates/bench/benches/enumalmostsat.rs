@@ -4,13 +4,13 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kbiplex::{EnumKind, Enumerator, PartialBiplex};
+use kbiplex::{CollectSink, EnumKind, Enumerator, PartialBiplex};
 
 fn bench(c: &mut Criterion) {
     let g = bigraph::gen::datasets::DatasetSpec::by_name("Crime").unwrap().generate_scaled();
     // Sample a handful of (host MBP, new vertex) pairs once.
-    let mut sink = kbiplex::FirstN::new(20);
-    Enumerator::new(&g).k(1).run(&mut sink).expect("valid");
+    let mut sink = CollectSink::new();
+    Enumerator::new(&g).k(1).limit(20).run(&mut sink).expect("valid");
     let samples: Vec<(PartialBiplex, u32)> = sink
         .solutions
         .iter()

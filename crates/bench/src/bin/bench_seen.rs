@@ -1,22 +1,16 @@
 //! Seen-set contention benchmark with machine-readable output.
 //!
-//! Hammers the concurrent seen-set with `--threads` inserter threads over a
-//! heavily overlapping key range at three scales — *small* (fits in one
-//! segment, the tiny-graph case where the old fixed design paid its 1 MiB
-//! floor), *mid* (forces several cooperative growth publications, the
-//! regime where the segmented design pays its historical-era probes) and
-//! *large* (past the point where a fixed bucket array degrades into long
-//! chains) — for two geometries:
-//!
-//! * `fixed_64k` — one contiguous pinned 2¹⁶-bucket segment (a single
-//!   up-front allocation, growth disabled): the retired fixed-capacity
-//!   design, chains absorbing all excess load;
-//! * `segmented` — the default geometry, starting at one segment and
-//!   growing cooperatively as the load factor crosses 1.
+//! Hammers the concurrent seen-set in its default `segmented` geometry
+//! (starting at one segment and growing cooperatively as the load factor
+//! crosses 1) with `--threads` inserter threads over a heavily overlapping
+//! key range at three scales: *small* (fits in one segment), *mid* (forces
+//! several cooperative growth publications, the regime where the segmented
+//! design pays its historical-era probes) and *large* (many doublings).
+//! Its comparison against the retired fixed-capacity design is frozen in
+//! EXPERIMENTS.md.
 //!
 //! Results go to `BENCH_seen.json` (CI's `bench-smoke` job uploads it as a
-//! workflow artifact next to `BENCH_parallel.json`), including the
-//! fixed/segmented wall-clock ratio at both scales.
+//! workflow artifact next to `BENCH_parallel.json`).
 //!
 //! Usage: `cargo run --release -p mbpe-bench --bin bench_seen --
 //!         [--threads 4] [--keys-small 4000] [--keys-mid 20000]
@@ -55,45 +49,34 @@ fn main() {
          (segment={SEGMENT_BUCKETS} buckets)"
     );
 
+    let config = "segmented";
     let mut rows: Vec<Row> = Vec::new();
     for (scale, keys) in [("small", keys_small), ("mid", keys_mid), ("large", keys_large)] {
-        for (config, fixed) in [("fixed_64k", true), ("segmented", false)] {
-            let mut best = f64::INFINITY;
-            let mut final_segments = 0;
-            let mut final_capacity = 0;
-            for _ in 0..iters.max(1) {
-                // Construction is part of the measurement: the enumeration
-                // engines build a fresh set per run, and the up-front
-                // bucket allocation is exactly where the fixed design pays
-                // for small workloads.
-                let start = Instant::now();
-                let set = build(fixed);
-                hammer(&set, keys, threads);
-                let secs = start.elapsed().as_secs_f64();
-                assert_eq!(set.len(), keys as u64, "{config}/{scale}: lost or duplicated keys");
-                if secs < best {
-                    // Keep the geometry of the iteration being reported:
-                    // interleaving can leave different iterations one
-                    // doubling apart.
-                    best = secs;
-                    final_segments = set.segments();
-                    final_capacity = set.capacity();
-                }
+        let mut best = f64::INFINITY;
+        let mut final_segments = 0;
+        let mut final_capacity = 0;
+        for _ in 0..iters.max(1) {
+            // Construction is part of the measurement: the enumeration
+            // engines build a fresh set per run.
+            let start = Instant::now();
+            let set = build();
+            hammer(&set, keys, threads);
+            let secs = start.elapsed().as_secs_f64();
+            assert_eq!(set.len(), keys as u64, "{config}/{scale}: lost or duplicated keys");
+            if secs < best {
+                // Keep the geometry of the iteration being reported:
+                // interleaving can leave different iterations one doubling
+                // apart.
+                best = secs;
+                final_segments = set.segments();
+                final_capacity = set.capacity();
             }
-            eprintln!(
-                "{config:>10} {scale:>5}: {best:.4}s  {keys} keys  \
-                 {final_segments} segments  {final_capacity} buckets"
-            );
-            rows.push(Row {
-                config,
-                scale,
-                keys,
-                threads,
-                secs: best,
-                final_segments,
-                final_capacity,
-            });
         }
+        eprintln!(
+            "{config:>10} {scale:>5}: {best:.4}s  {keys} keys  \
+             {final_segments} segments  {final_capacity} buckets"
+        );
+        rows.push(Row { config, scale, keys, threads, secs: best, final_segments, final_capacity });
     }
 
     let json = render_json(iters, &rows);
@@ -103,9 +86,6 @@ fn main() {
 
 /// Renders the measurements by hand (the workspace has no serde).
 fn render_json(iters: u32, rows: &[Row]) -> String {
-    let secs_of = |config: &str, scale: &str| -> Option<f64> {
-        rows.iter().find(|r| r.config == config && r.scale == scale).map(|r| r.secs)
-    };
     let mut s = String::new();
     s.push_str("{\n");
     let _ = writeln!(s, "  \"iters\": {iters},");
@@ -120,21 +100,6 @@ fn render_json(iters: u32, rows: &[Row]) -> String {
             r.config, r.scale, r.keys, r.threads, r.secs, r.final_segments, r.final_capacity, comma
         );
     }
-    s.push_str("  ],\n");
-    // fixed / segmented: > 1 means the growable directory is faster.
-    s.push_str("  \"fixed_over_segmented\": {");
-    let mut first = true;
-    for scale in ["small", "mid", "large"] {
-        let ratio = match (secs_of("fixed_64k", scale), secs_of("segmented", scale)) {
-            (Some(f), Some(seg)) if seg > 0.0 => format!("{:.3}", f / seg),
-            _ => "null".to_string(),
-        };
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        let _ = write!(s, "\n    \"{scale}\": {ratio}");
-    }
-    s.push_str("\n  }\n}\n");
+    s.push_str("  ]\n}\n");
     s
 }

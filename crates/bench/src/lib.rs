@@ -258,8 +258,12 @@ pub fn enum_almost_sat_avg_time(
     samples: usize,
 ) -> Duration {
     use kbiplex::PartialBiplex;
-    let mut sink = kbiplex::FirstN::new(samples);
-    Enumerator::new(g).k(k).run(&mut sink).expect("valid facade configuration");
+    let mut sink = kbiplex::CollectSink::new();
+    Enumerator::new(g)
+        .k(k)
+        .limit(samples as u64)
+        .run(&mut sink)
+        .expect("valid facade configuration");
     let mut total = Duration::ZERO;
     let mut runs = 0u32;
     for (i, mbp) in sink.solutions.iter().enumerate() {
@@ -362,22 +366,14 @@ impl Args {
 
 /// Shared harness of the seen-set contention benchmarks: the `bench_seen`
 /// binary (machine-readable `BENCH_seen.json`) and the `seen_set` criterion
-/// bench measure the same two geometries under the same insert storm.
+/// bench measure the same geometry under the same insert storm.
 pub mod seen_harness {
     use kbiplex::parallel::seen::ConcurrentSeenSet;
 
-    /// Builds the set under test. `fixed` reproduces the retired
-    /// fixed-capacity design exactly: one contiguous pinned 2¹⁶-bucket
-    /// segment (a single up-front allocation, no growth, no era probes —
-    /// only the shared root indirection differs from the old code);
-    /// otherwise the default graph-sized geometry applies, starting at one
-    /// segment and growing cooperatively.
-    pub fn build(fixed: bool) -> ConcurrentSeenSet {
-        if fixed {
-            ConcurrentSeenSet::with_geometry(1, 1 << 16).pinned()
-        } else {
-            ConcurrentSeenSet::new(0)
-        }
+    /// Builds the set under test: the default graph-sized geometry,
+    /// starting at one segment and growing cooperatively.
+    pub fn build() -> ConcurrentSeenSet {
+        ConcurrentSeenSet::new(0)
     }
 
     /// All `threads` workers insert every key of `0..keys` (maximal

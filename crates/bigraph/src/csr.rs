@@ -131,9 +131,8 @@ impl Csr {
 ///
 /// Stable alias of [`crate::intersect::dispatch`]: the kernel layer picks a
 /// merge walk, a galloping scan, a branchless chunked merge or a
-/// bitset-chunk kernel from a measured crossover heuristic (and honours the
-/// per-thread `--kernel` override). Kept here because this is the
-/// historical entry every caller already goes through.
+/// bitset-chunk kernel from a measured crossover heuristic. Kept here
+/// because this is the historical entry every caller already goes through.
 #[inline]
 pub fn intersection_len(a: &[u32], b: &[u32]) -> usize {
     crate::intersect::dispatch(a, b)

@@ -23,21 +23,18 @@
 //! [`dispatch`] is the single entry the rest of the workspace calls; the
 //! crossover between kernels is a measured size-ratio/density heuristic
 //! (constants below, regime boundaries recorded in DESIGN.md and re-measured
-//! by `bench_parallel`'s per-kernel section). [`Kernel`] plus the
-//! thread-local override ([`set_thread_kernel`]) make the choice tunable
-//! end-to-end — `TraversalConfig`/`ParallelConfig` carry a kernel field and
-//! the CLI exposes `--kernel` for A/B runs. All kernels require strictly
-//! sorted (deduplicated) inputs, which CSR neighbour lists and the engines'
-//! working sets guarantee; the precondition is `debug_assert!`ed.
+//! by `bench_parallel`'s per-kernel section). [`dispatch_with`] forces one
+//! [`Kernel`] for that per-kernel table and the equivalence tests. All
+//! kernels require strictly sorted (deduplicated) inputs, which CSR
+//! neighbour lists and the engines' working sets guarantee; the
+//! precondition is `debug_assert!`ed.
 
-use std::cell::Cell;
 use std::fmt;
-use std::str::FromStr;
 
 use crate::bitset::pack_word;
 
-/// Kernel selector: `Auto` applies the crossover heuristic, the other
-/// variants force one kernel (the `--kernel` A/B switch).
+/// Kernel selector of [`dispatch_with`]: `Auto` applies the crossover
+/// heuristic, the other variants force one kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Pick per call from the size-ratio/density crossover heuristic.
@@ -58,8 +55,7 @@ impl Kernel {
     pub const ALL: [Kernel; 5] =
         [Kernel::Auto, Kernel::Merge, Kernel::Gallop, Kernel::Chunked, Kernel::Bitset];
 
-    /// The lower-case name used by `--kernel`, the spec codec and bench
-    /// output.
+    /// The lower-case name used in bench output.
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Auto => "auto",
@@ -74,23 +70,6 @@ impl Kernel {
 impl fmt::Display for Kernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Kernel::Auto),
-            "merge" => Ok(Kernel::Merge),
-            "gallop" => Ok(Kernel::Gallop),
-            "chunked" => Ok(Kernel::Chunked),
-            "bitset" => Ok(Kernel::Bitset),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected auto, merge, gallop, chunked or bitset)"
-            )),
-        }
     }
 }
 
@@ -124,52 +103,19 @@ pub const DENSE_MIN_LEN: usize = 64;
 /// walk plus setup cost.
 pub const SMALL_LEN: usize = CHUNK;
 
-thread_local! {
-    /// The kernel override of the current thread; `Auto` means "use the
-    /// heuristic". Thread-local (not process-global) so concurrent engine
-    /// runs with different configs do not fight over it.
-    static THREAD_KERNEL: Cell<Kernel> = const { Cell::new(Kernel::Auto) };
-}
-
-/// The kernel override currently in force on this thread.
-pub fn thread_kernel() -> Kernel {
-    THREAD_KERNEL.with(Cell::get)
-}
-
-/// Restores the previous thread kernel on drop; see [`set_thread_kernel`].
-#[must_use = "dropping the guard immediately restores the previous kernel"]
-pub struct KernelGuard {
-    prev: Kernel,
-}
-
-impl Drop for KernelGuard {
-    fn drop(&mut self) {
-        THREAD_KERNEL.with(|c| c.set(self.prev));
-    }
-}
-
-/// Installs `kernel` as this thread's override for the lifetime of the
-/// returned guard. The engines call this at run/worker start from their
-/// config's kernel field, so deep call sites (candidate pruning, extension,
-/// miss counting) all honour a single `--kernel` choice without threading a
-/// parameter through every signature.
-pub fn set_thread_kernel(kernel: Kernel) -> KernelGuard {
-    KernelGuard { prev: THREAD_KERNEL.with(|c| c.replace(kernel)) }
-}
-
 #[inline]
 fn strictly_sorted(v: &[u32]) -> bool {
     v.windows(2).all(|w| w[0] < w[1])
 }
 
-/// Length of the intersection of two strictly sorted `u32` slices, using
-/// this thread's kernel selection (default: the crossover heuristic).
+/// Length of the intersection of two strictly sorted `u32` slices, with the
+/// kernel the crossover heuristic picks.
 ///
 /// This is the single entry point the rest of the workspace goes through;
 /// `cargo xtask lint` rejects out-of-crate calls to the raw kernels.
 #[inline]
 pub fn dispatch(a: &[u32], b: &[u32]) -> usize {
-    dispatch_with(thread_kernel(), a, b)
+    dispatch_with(Kernel::Auto, a, b)
 }
 
 /// [`dispatch`] with an explicit kernel — the A/B entry used by the
@@ -572,26 +518,13 @@ mod tests {
     }
 
     #[test]
-    fn thread_kernel_guard_restores() {
-        assert_eq!(thread_kernel(), Kernel::Auto);
-        {
-            let _outer = set_thread_kernel(Kernel::Bitset);
-            assert_eq!(thread_kernel(), Kernel::Bitset);
-            {
-                let _inner = set_thread_kernel(Kernel::Merge);
-                assert_eq!(thread_kernel(), Kernel::Merge);
-            }
-            assert_eq!(thread_kernel(), Kernel::Bitset);
-        }
-        assert_eq!(thread_kernel(), Kernel::Auto);
-    }
-
-    #[test]
     fn kernel_names_round_trip() {
-        for kernel in Kernel::ALL {
-            assert_eq!(kernel.name().parse::<Kernel>().unwrap(), kernel);
+        // Every kernel prints its own distinct name (the bench tables key on
+        // it).
+        for (i, kernel) in Kernel::ALL.iter().enumerate() {
+            assert_eq!(kernel.to_string(), kernel.name());
+            assert!(Kernel::ALL[..i].iter().all(|k| k.name() != kernel.name()), "{kernel}");
         }
-        assert!("warp".parse::<Kernel>().is_err());
         assert_eq!(Kernel::default(), Kernel::Auto);
     }
 }

@@ -14,8 +14,9 @@
 //!   graph.
 //! * [`intersect`] — the sorted-slice intersection kernel layer (merge /
 //!   gallop / branchless chunked / bitset-chunk) behind a single
-//!   [`intersect::dispatch`] entry with a measured crossover heuristic and
-//!   a per-thread [`Kernel`] override for A/B runs.
+//!   [`intersect::dispatch`] entry with a measured crossover heuristic;
+//!   [`intersect::dispatch_with`] forces one [`Kernel`] for the per-kernel
+//!   bench table.
 //! * [`order`] — degeneracy/degree vertex relabelings ([`VertexOrder`]) that
 //!   pack the dense core into a contiguous low-id range before enumeration.
 //! * [`bitset::BitSet`] — a fixed-capacity bitset used pervasively for vertex

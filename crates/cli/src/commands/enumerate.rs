@@ -35,7 +35,6 @@ OPTIONS:
     --limit <N>         Stop after delivering exactly N solutions (all
                         engines — the parallel workers cancel
                         cooperatively)
-    --first <N>         Deprecated alias of --limit
     --time-budget <S>   Stop at the first solution after S seconds
                         (fractions allowed; not for imb/inflation)
     --theta-left <N>    Only report MBPs with at least N left vertices
@@ -44,38 +43,18 @@ OPTIONS:
                         work-stealing engine (0 = auto)
     --order <O>         Vertex relabeling pass: input (default) | degree |
                         degeneracy (itraversal, btraversal, large, parallel)
-    --kernel <K>        Intersection kernel: auto (default, crossover
-                        heuristic) | merge | gallop | chunked | bitset —
-                        an A/B switch, the solution set never changes
     --count-only        Print only the number of solutions
     --print             Print every reported solution (L= ... R= ...)
     --dataset/--scale/--full   Input selection, as for `mbpe stats`";
 
-const OPTIONS: &[&str] = &[
-    "spec",
-    "show-spec",
-    "k",
-    "algo",
-    "limit",
-    "first",
-    "time-budget",
-    "theta-left",
-    "theta-right",
-    "threads",
-    "order",
-    "kernel",
-    "count-only",
-    "print",
-    "dataset",
-    "scale",
-    "full",
-];
+/// Options of `enumerate` beyond [`spec::SPEC_OPTIONS`].
+const OPTIONS: &[&str] = &["show-spec", "count-only", "print", "dataset", "scale", "full"];
 const FLAGS: &[&str] = &["show-spec", "count-only", "print", "full"];
 
 /// Runs the command.
 pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(raw, FLAGS)?;
-    args.reject_unknown(OPTIONS)?;
+    spec::reject_unknown(&args, OPTIONS)?;
     let (graph, label) = load_graph(&args)?;
 
     let algo = spec::algo_name(&args).to_string();
@@ -131,11 +110,6 @@ fn run_baseline(
     if args.value("time-budget").is_some() {
         return Err(CliError::Usage(format!(
             "--time-budget is not supported by --algo {algo} (baselines have no cancellation hook)"
-        )));
-    }
-    if args.value("kernel").is_some() {
-        return Err(CliError::Usage(format!(
-            "--kernel is not supported by --algo {algo} (baselines bypass the kernel dispatcher)"
         )));
     }
     let k: usize = args.parse_or("k", 1)?;
@@ -247,14 +221,9 @@ mod tests {
             capture(&["--dataset", "Divorce", "--k", "1", "--limit", "2", "--print"]).unwrap();
         assert_eq!(text.lines().filter(|l| l.starts_with("L=")).count(), 2);
         assert!(text.contains("stop: limit-reached"), "{text}");
-        // --first stays as the deprecated alias; combining both is a usage
-        // error.
-        let text = capture(&["--dataset", "Divorce", "--k", "1", "--first", "2"]).unwrap();
-        assert_eq!(parse(&text), 2);
-        assert!(
-            capture(&["--dataset", "Divorce", "--first", "2", "--limit", "2"]).is_err(),
-            "--first and --limit together must be rejected"
-        );
+        // `--first` is not an alias of `--limit`: it is an unknown option.
+        let err = capture(&["--dataset", "Divorce", "--k", "1", "--first", "2"]).unwrap_err();
+        assert!(err.to_string().contains("unknown option --first"), "{err}");
         // The work-steal engine cancels cooperatively: exactly 2 delivered.
         let text = capture(&[
             "--dataset",
@@ -305,30 +274,14 @@ mod tests {
 
     #[test]
     fn kernel_override_is_an_ab_switch() {
-        let baseline = capture(&["--dataset", "Divorce", "--k", "1"]).unwrap();
-        for kernel in ["auto", "merge", "gallop", "chunked", "bitset"] {
-            let text = capture(&["--dataset", "Divorce", "--k", "1", "--kernel", kernel]).unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "kernel {kernel}");
-            let text = capture(&[
-                "--dataset",
-                "Divorce",
-                "--k",
-                "1",
-                "--algo",
-                "parallel",
-                "--threads",
-                "2",
-                "--kernel",
-                kernel,
-            ])
-            .unwrap();
-            assert_eq!(parse(&text), parse(&baseline), "parallel kernel {kernel}");
+        // The intersection kernel is not a query knob (a forced kernel
+        // never changes the result): `--kernel` is an unknown option on
+        // every algorithm.
+        for algo in ["itraversal", "parallel", "imb"] {
+            let argv = ["--dataset", "Divorce", "--algo", algo, "--kernel", "merge"];
+            let err = capture(&argv).unwrap_err();
+            assert!(err.to_string().contains("unknown option --kernel"), "--algo {algo}: {err}");
         }
-        assert!(capture(&["--dataset", "Divorce", "--kernel", "simd"]).is_err());
-        assert!(
-            capture(&["--dataset", "Divorce", "--algo", "imb", "--kernel", "merge"]).is_err(),
-            "baselines bypass the dispatcher"
-        );
     }
 
     #[test]

@@ -36,31 +36,12 @@ OPTIONS:
 
 The query-shaping options below are listed by `mbpe help enumerate` and
 mean the same thing here (the server runs the identical QuerySpec):
-    --spec --k --algo --limit --first --time-budget --theta-left
-    --theta-right --threads --order --kernel";
+    --spec --k --algo --limit --time-budget --theta-left --theta-right
+    --threads --order";
 
-const OPTIONS: &[&str] = &[
-    "addr",
-    "tenant",
-    "insert",
-    "delete",
-    "ping",
-    "count-only",
-    "print",
-    "show-spec",
-    // query-shaping options, as in spec::SPEC_OPTIONS
-    "spec",
-    "k",
-    "algo",
-    "limit",
-    "first",
-    "time-budget",
-    "theta-left",
-    "theta-right",
-    "threads",
-    "order",
-    "kernel",
-];
+/// Options of `query` beyond [`spec::SPEC_OPTIONS`].
+const OPTIONS: &[&str] =
+    &["addr", "tenant", "insert", "delete", "ping", "count-only", "print", "show-spec"];
 const FLAGS: &[&str] = &["ping", "count-only", "print", "show-spec"];
 
 fn parse_edge(raw: &str) -> Result<(u32, u32), CliError> {
@@ -72,7 +53,7 @@ fn parse_edge(raw: &str) -> Result<(u32, u32), CliError> {
 /// Runs the command.
 pub fn run(raw: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = Args::parse(raw, FLAGS)?;
-    args.reject_unknown(OPTIONS)?;
+    spec::reject_unknown(&args, OPTIONS)?;
     let addr = args.value("addr").unwrap_or("127.0.0.1:7661");
     let tenant = args.value("tenant").unwrap_or("cli");
     let mut client = Client::connect(addr, tenant)?;

@@ -7,26 +7,22 @@
 
 use std::time::Duration;
 
-use kbiplex::{Algorithm, Engine, Kernel, QuerySpec, VertexOrder};
+use kbiplex::{Algorithm, Engine, QuerySpec, VertexOrder};
 
 use crate::args::Args;
 use crate::CliError;
 
 /// Query-shaping options understood by [`spec_from_args`] (shared between
 /// `enumerate` and `query`).
-pub const SPEC_OPTIONS: &[&str] = &[
-    "spec",
-    "k",
-    "algo",
-    "limit",
-    "first",
-    "time-budget",
-    "theta-left",
-    "theta-right",
-    "threads",
-    "order",
-    "kernel",
-];
+pub const SPEC_OPTIONS: &[&str] =
+    &["spec", "k", "algo", "limit", "time-budget", "theta-left", "theta-right", "threads", "order"];
+
+/// Rejects every option that is neither in [`SPEC_OPTIONS`] nor among the
+/// command's `own` options.
+pub fn reject_unknown(args: &Args, own: &[&str]) -> Result<(), CliError> {
+    let allowed: Vec<&str> = SPEC_OPTIONS.iter().chain(own).copied().collect();
+    args.reject_unknown(&allowed)
+}
 
 /// The `--algo` value with the historical default.
 pub fn algo_name(args: &Args) -> &str {
@@ -53,14 +49,9 @@ pub fn parse_seconds(args: &Args, name: &str) -> Result<Option<Duration>, CliErr
     }
 }
 
-/// Parses `--limit` (or its deprecated alias `--first`).
+/// Parses `--limit`.
 pub fn parse_limit(args: &Args) -> Result<Option<u64>, CliError> {
-    if args.value("limit").is_some() && args.value("first").is_some() {
-        return Err(CliError::Usage(
-            "--first is the deprecated alias of --limit; give only one of them".to_string(),
-        ));
-    }
-    match args.value("limit").or_else(|| args.value("first")) {
+    match args.value("limit") {
         None => Ok(None),
         Some(v) => Ok(Some(v.parse().map_err(|_| CliError::Usage(format!("bad --limit {v:?}")))?)),
     }
@@ -109,11 +100,6 @@ pub fn spec_from_args(args: &Args) -> Result<QuerySpec, CliError> {
     };
     if let Some(raw) = args.value("order") {
         spec.order = raw.parse::<VertexOrder>().map_err(CliError::Usage)?;
-    }
-    // The kernel override applies to every algorithm and engine (all of
-    // them intersect through the same dispatcher), so no misplacement rule.
-    if let Some(raw) = args.value("kernel") {
-        spec.kernel = raw.parse::<Kernel>().map_err(CliError::Usage)?;
     }
     match algo {
         "itraversal" => spec.algorithm = Algorithm::ITraversal,
@@ -178,25 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_parses_on_every_algo() {
-        for algo in ["itraversal", "btraversal", "large", "parallel"] {
-            let spec =
-                spec_from_args(&args(&["--algo", algo, "--kernel", "chunked"], &[])).unwrap();
-            assert_eq!(spec.kernel, Kernel::Chunked, "--algo {algo}");
-        }
-        assert_eq!(spec_from_args(&args(&[], &[])).unwrap().kernel, Kernel::Auto);
-        let e = spec_from_args(&args(&["--kernel", "simd"], &[]));
-        assert!(matches!(e, Err(CliError::Usage(_))));
-    }
-
-    #[test]
     fn bad_spec_document_is_a_usage_error() {
         assert!(spec_from_args(&args(&["--spec", "{"], &[])).is_err());
         assert!(spec_from_args(&args(&["--spec", r#"{"warp":9}"#], &[])).is_err());
-        // Retired engine codes and scheduler keys are rejected, not ignored.
-        for doc in
-            [r#"{"engine":"global"}"#, r#"{"seen_segments":2}"#, r#"{"steal_adaptive":false}"#]
-        {
+        // Retired engine codes and spec keys are rejected, not ignored.
+        for doc in [
+            r#"{"engine":"global"}"#,
+            r#"{"seen_segments":2}"#,
+            r#"{"steal_adaptive":false}"#,
+            r#"{"kernel":"merge"}"#,
+            r#"{"stream_buffer":8}"#,
+        ] {
             assert!(spec_from_args(&args(&["--spec", doc], &[])).is_err(), "{doc}");
         }
     }

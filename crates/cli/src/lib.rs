@@ -8,7 +8,7 @@
 //! ```text
 //! mbpe generate --dataset Writer --out writer.txt
 //! mbpe stats writer.txt
-//! mbpe enumerate writer.txt --k 1 --first 1000
+//! mbpe enumerate writer.txt --k 1 --limit 1000
 //! mbpe enumerate --dataset Opsahl --k 2 --algo btraversal --count-only
 //! mbpe fraud --preset tiny --theta-r 5
 //! ```
@@ -168,7 +168,7 @@ mod tests {
         assert!(text.contains("solutions"), "enumerate reports a count: {text}");
 
         let text =
-            run_capture(&["enumerate", path_str, "--k", "1", "--first", "3", "--print"]).unwrap();
+            run_capture(&["enumerate", path_str, "--k", "1", "--limit", "3", "--print"]).unwrap();
         assert!(text.lines().filter(|l| l.starts_with("L=")).count() <= 3);
 
         std::fs::remove_file(path).ok();

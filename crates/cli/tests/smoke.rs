@@ -49,30 +49,19 @@ fn enumerate_prints_well_formed_solutions() {
 }
 
 #[test]
-fn first_is_a_deprecated_alias_of_limit() {
-    // `--first N` must behave exactly like `--limit N`.
-    let via_first = run(&["enumerate", &tiny_graph(), "--k", "1", "--first", "2", "--print"]);
-    let via_limit = run(&["enumerate", &tiny_graph(), "--k", "1", "--limit", "2", "--print"]);
-    let solutions = |text: &str| text.lines().filter(|l| l.starts_with("L=")).count();
-    assert_eq!(solutions(&via_first), solutions(&via_limit), "--first maps onto --limit");
-    assert!(
-        via_first.contains("stop: limit-reached"),
-        "the alias reaches the same stop reason: {via_first}"
-    );
-
-    // Passing both spellings at once is ambiguous and must be rejected as a
-    // usage error, not silently resolved.
-    let raw: Vec<String> = ["enumerate", &tiny_graph(), "--k", "1", "--first", "2", "--limit", "3"]
+fn first_is_an_unknown_option() {
+    // `--limit N` is the one spelling: `--first N` is a usage error that
+    // names the flag.
+    let raw: Vec<String> = ["enumerate", &tiny_graph(), "--k", "1", "--first", "2"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let mut out = Vec::new();
     match mbpe_cli::run(&raw, &mut out) {
         Err(mbpe_cli::CliError::Usage(msg)) => {
-            assert!(msg.contains("--first"), "the error names the deprecated flag: {msg}");
-            assert!(msg.contains("--limit"), "the error names the canonical flag: {msg}");
+            assert!(msg.contains("--first"), "the error names the flag: {msg}");
         }
-        other => panic!("--first + --limit must be a usage error, got {other:?}"),
+        other => panic!("--first must be a usage error, got {other:?}"),
     }
 }
 
@@ -102,22 +91,6 @@ fn parallel_thread_counts_match_the_sequential_count() {
             text.contains(&format!("parallel: threads = {threads}")),
             "run header echoes the thread count: {text}"
         );
-    }
-}
-
-#[test]
-fn kernel_override_matches_the_auto_count_end_to_end() {
-    let count = |text: &str| -> usize {
-        text.lines()
-            .find_map(|l| l.strip_prefix("solutions: "))
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or_else(|| panic!("no solution count in: {text}"))
-    };
-    let auto = run(&["enumerate", &tiny_graph(), "--k", "1", "--count-only"]);
-    for kernel in ["merge", "gallop", "chunked", "bitset"] {
-        let text =
-            run(&["enumerate", &tiny_graph(), "--k", "1", "--kernel", kernel, "--count-only"]);
-        assert_eq!(count(&text), count(&auto), "--kernel {kernel}: {text}");
     }
 }
 

@@ -55,9 +55,20 @@
 //!    [`Enumerator::limit`] is reached, the [`Enumerator::time_budget`]
 //!    expires, the sink returns [`Control::Stop`], or the stream is dropped.
 //!    The [`RunReport::stop`] reason records which. All stopping rules are
-//!    cooperative: on the parallel engines a shared cancellation flag is
-//!    polled at steal/expand boundaries, so the run stops within one
-//!    expansion instead of running to completion.
+//!    cooperative: a shared cancellation flag is polled at every DFS step of
+//!    the sequential engine and at the parallel workers' steal/expand
+//!    boundaries, so the run stops within one expansion instead of running
+//!    to completion.
+//!
+//! ## Graph preparation
+//!
+//! The facade is the one place that decides which graph a run enumerates
+//! and how its solutions reach the caller. For the traversal-family
+//! algorithms it prepares the graph once — the (θ−k)-core reduction of
+//! [`Algorithm::Large`] (Section 5), then the [`VertexOrder`] relabeling,
+//! then for [`Anchor::Right`] the transpose (Section 6.2) — and either
+//! engine runs on that graph, handing every solution to one emit closure
+//! that maps it back to input ids and offers it to the stopping rules.
 
 use std::fmt;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -65,21 +76,24 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bigraph::intersect::Kernel;
-use bigraph::order::VertexOrder;
+use bigraph::core_decomp::alpha_beta_core_subgraph;
+use bigraph::order::{Relabeling, VertexOrder};
 use bigraph::BipartiteGraph;
 
 use crate::asym::{run_asym, AsymStats, KPair};
 use crate::biplex::Biplex;
 use crate::bruteforce::brute_force_mbps;
 use crate::enum_almost_sat::EnumKind;
-use crate::large::{par_run_large, run_large, LargeMbpParams};
-use crate::parallel::{par_run, ParRuntime, ParallelConfig, ParallelStats};
+use crate::parallel::{par_run, ParRuntime, ParallelStats};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{plock, Mutex};
-use crate::traversal::{traverse, Anchor, EmitMode, TraversalConfig};
+use crate::traversal::{traverse, Anchor, EmitMode};
+
+/// Capacity of the bounded channel behind [`Enumerator::stream`], in
+/// solutions.
+const STREAM_BUFFER: usize = 256;
 
 /// Which enumeration algorithm the facade runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -371,12 +385,6 @@ pub struct QuerySpec {
     pub limit: Option<u64>,
     /// Stop once this much wall-clock time has elapsed.
     pub time_budget: Option<Duration>,
-    /// Channel capacity behind [`Enumerator::stream`] (default 256).
-    pub stream_buffer: usize,
-    /// Intersection kernel override (default [`Kernel::Auto`], the
-    /// measured crossover heuristic). Forcing a single kernel is the A/B
-    /// switch behind the CLI's `--kernel`; it never changes results.
-    pub kernel: Kernel,
 }
 
 impl Default for QuerySpec {
@@ -396,8 +404,6 @@ impl Default for QuerySpec {
             threads: 0,
             limit: None,
             time_budget: None,
-            stream_buffer: 256,
-            kernel: Kernel::Auto,
         }
     }
 }
@@ -529,22 +535,6 @@ impl<'g> Enumerator<'g> {
         self
     }
 
-    /// Capacity of the bounded channel behind [`Enumerator::stream`]
-    /// (default 256 solutions).
-    pub fn stream_buffer(mut self, capacity: usize) -> Self {
-        self.spec.stream_buffer = capacity.max(1);
-        self
-    }
-
-    /// Forces a single intersection kernel instead of the crossover
-    /// heuristic (default [`Kernel::Auto`]). An A/B switch for benchmarks
-    /// and the CLI's `--kernel`; the enumerated solution set is identical
-    /// under every kernel (pinned by the cross-validation tests).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.spec.kernel = kernel;
-        self
-    }
-
     /// Checks the configuration without running it.
     pub fn validate(&self) -> Result<(), ApiError> {
         let s = &self.spec;
@@ -618,17 +608,12 @@ impl<'g> Enumerator<'g> {
     ///
     /// `S: Send` because the parallel engines deliver solutions from worker
     /// threads (behind an internal mutex; the sink still sees one call at a
-    /// time, in nondeterministic order).
+    /// time, in nondeterministic order). A sink that returns
+    /// [`Control::Stop`] ends the run on every engine within one expansion.
     pub fn run<S: SolutionSink + Send>(&self, sink: &mut S) -> Result<RunReport, ApiError> {
         self.validate()?;
         let cancel = AtomicBool::new(false);
-        // Incremental delivery is only needed when a stopping rule must be
-        // able to cancel the parallel workers mid-run; a plain full
-        // enumeration keeps the engines' batched result hand-off and feeds
-        // the sink afterwards. (A sink that stops on its own should use
-        // `limit`/`time_budget` to also stop the engine early.)
-        let incremental = self.spec.limit.is_some() || self.spec.time_budget.is_some();
-        Ok(execute(self.graph, &self.spec, sink, &cancel, None, incremental))
+        Ok(execute(self.graph, &self.spec, sink, &cancel, None))
     }
 
     /// Terminal convenience: runs the enumeration and returns the reported
@@ -642,8 +627,8 @@ impl<'g> Enumerator<'g> {
     }
 
     /// Runs the enumeration on a background thread and returns a pull-based
-    /// iterator over the solutions, backed by a bounded channel (see
-    /// [`Enumerator::stream_buffer`]). The stream owns a clone of the graph
+    /// iterator over the solutions, backed by a bounded channel of 256
+    /// solutions. The stream owns a clone of the graph
     /// so it is `'static` and can outlive the builder. Dropping the stream
     /// cancels the run cooperatively; [`SolutionStream::finish`] joins it
     /// and returns the [`RunReport`].
@@ -652,16 +637,14 @@ impl<'g> Enumerator<'g> {
         let graph = self.graph.clone();
         let spec = self.spec.clone();
         let cancel = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = std::sync::mpsc::sync_channel(self.spec.stream_buffer.max(1));
+        let (tx, rx) = std::sync::mpsc::sync_channel(STREAM_BUFFER);
         let thread_cancel = Arc::clone(&cancel);
         let handle = std::thread::Builder::new()
             .name("kbiplex-enumerator".to_string())
             .spawn(move || {
                 let undelivered = AtomicBool::new(false);
                 let mut sink = ChannelSink { tx, undelivered: &undelivered };
-                // Streams always deliver incrementally — that is the point
-                // of pulling from a bounded channel.
-                execute(&graph, &spec, &mut sink, &thread_cancel, Some(&undelivered), true)
+                execute(&graph, &spec, &mut sink, &thread_cancel, Some(&undelivered))
             })
             .map_err(|e| ApiError::Resource(format!("failed to spawn enumerator thread: {e}")))?;
         Ok(SolutionStream { rx: Some(rx), cancel, handle: Some(handle) })
@@ -876,62 +859,21 @@ impl<'a> Gate<'a> {
     }
 }
 
-/// Builds the sequential traversal configuration of a spec.
-fn traversal_config(spec: &QuerySpec, deadline: Option<Instant>) -> TraversalConfig {
-    let base = match spec.algorithm {
-        Algorithm::ITraversal | Algorithm::Large => TraversalConfig::itraversal(spec.k),
-        Algorithm::ITraversalNoExclusion => TraversalConfig::itraversal_no_exclusion(spec.k),
-        Algorithm::LeftAnchoredOnly => TraversalConfig::itraversal_left_anchored_only(spec.k),
-        Algorithm::BTraversal => TraversalConfig::btraversal(spec.k),
-        Algorithm::Asym | Algorithm::BruteForce => unreachable!("not traversal algorithms"),
-    };
-    let base = match spec.anchor {
-        Some(anchor) => base.with_anchor(anchor),
-        None => base,
-    };
-    base.with_enum_kind(spec.enum_kind)
-        .with_emit(spec.emit_mode)
-        .with_thresholds(spec.theta_left, spec.theta_right)
-        .with_order(spec.order)
-        .with_deadline(deadline)
-        .with_kernel(spec.kernel)
-}
-
-/// Builds the parallel configuration of a spec.
-fn parallel_config(spec: &QuerySpec) -> ParallelConfig {
-    ParallelConfig::new(spec.k)
-        .with_threads(spec.threads)
-        .with_enum_kind(spec.enum_kind)
-        .with_thresholds(spec.theta_left, spec.theta_right)
-        .with_order(spec.order)
-        .with_kernel(spec.kernel)
-}
-
 /// Runs a validated spec to completion. Infallible: every configuration
 /// error was caught by [`Enumerator::validate`].
-///
-/// `incremental` selects how the parallel engine delivers: `true` streams
-/// every solution through the gate as it is discovered (required for
-/// [`Enumerator::stream`] and whenever a limit or time budget must be able
-/// to cancel the workers mid-run); `false` lets the workers keep their
-/// batched result hand-off (one lock per
-/// [`RESULT_BATCH`](crate::parallel::work_steal::RESULT_BATCH) solutions
-/// instead of one gate lock per solution) and feeds the collected set
-/// through the gate afterwards — the fast path for full enumerations.
 fn execute(
     g: &BipartiteGraph,
     spec: &QuerySpec,
     sink: &mut (dyn SolutionSink + Send),
     cancel: &AtomicBool,
     undelivered: Option<&AtomicBool>,
-    incremental: bool,
 ) -> RunReport {
     let deadline = spec.time_budget.map(|budget| Instant::now() + budget);
     let gate = Gate::new(sink, spec.limit, deadline, cancel, undelivered);
     let start = Instant::now();
 
-    let (stats, reduced) = match (spec.algorithm, spec.engine) {
-        (Algorithm::Asym, _) => {
+    let (stats, reduced) = match spec.algorithm {
+        Algorithm::Asym => {
             let kp = spec.k_pair.unwrap_or(KPair::symmetric(spec.k));
             // The asymmetric engine has no in-search size pruning; the
             // thresholds post-filter (still consulting the stopping rules
@@ -946,7 +888,7 @@ fn execute(
             let stats = run_asym(g, kp, &mut filter);
             (EngineStats::Asym(stats), None)
         }
-        (Algorithm::BruteForce, _) => {
+        Algorithm::BruteForce => {
             for b in brute_force_mbps(g, spec.k) {
                 let verdict =
                     if b.left.len() >= spec.theta_left && b.right.len() >= spec.theta_right {
@@ -960,41 +902,7 @@ fn execute(
             }
             (EngineStats::Oracle, None)
         }
-        (Algorithm::Large, Engine::Sequential) => {
-            let params = large_params(spec);
-            let mut sink_fn = |b: &Biplex| gate.offer(b);
-            let report = run_large(g, &params, &traversal_config(spec, deadline), &mut sink_fn);
-            (
-                EngineStats::Sequential(report.stats),
-                Some(reduced_info(report.reduced_size, report.reduced_edges)),
-            )
-        }
-        (Algorithm::Large, _) => {
-            let params = large_params(spec);
-            let emit = |b: &Biplex| gate.offer(b);
-            let rt = parallel_runtime(incremental, &emit, cancel, deadline);
-            let (collected, report) = par_run_large(g, &params, &parallel_config(spec), &rt);
-            feed_collected(&gate, &collected);
-            (
-                EngineStats::Parallel(report.stats),
-                Some(reduced_info(report.reduced_size, report.reduced_edges)),
-            )
-        }
-        (_, Engine::Sequential) => {
-            let mut sink_fn = |b: &Biplex| gate.offer(b);
-            let stats = traverse(g, &traversal_config(spec, deadline), &mut sink_fn);
-            (EngineStats::Sequential(stats), None)
-        }
-        (_, _) => {
-            let emit = |b: &Biplex| gate.offer(b);
-            let rt = parallel_runtime(incremental, &emit, cancel, deadline);
-            // The algorithm picks the exclusion policy: the host-local slice
-            // of ℰ(H) for iTraversal, none for the iTraversal-ES ablation.
-            let exclusion = spec.algorithm == Algorithm::ITraversal;
-            let (collected, stats) = par_run(g, &parallel_config(spec), exclusion, &rt);
-            feed_collected(&gate, &collected);
-            (EngineStats::Parallel(stats), None)
-        }
+        _ => run_traversal(g, spec, &gate, cancel, deadline),
     };
 
     let elapsed = start.elapsed();
@@ -1020,45 +928,73 @@ fn execute(
     RunReport { solutions: delivered, stop, elapsed, stats, reduced }
 }
 
-fn large_params(spec: &QuerySpec) -> LargeMbpParams {
-    LargeMbpParams {
-        k: spec.k,
-        theta_left: spec.theta_left,
-        theta_right: spec.theta_right,
-        core_reduction: spec.core_reduction.unwrap_or(true),
-    }
-}
-
-fn reduced_info(size: (u32, u32), edges: u64) -> ReducedGraph {
-    ReducedGraph { left: size.0, right: size.1, edges }
-}
-
-/// Builds the engine-side runtime of a parallel run. Incremental runs (a
-/// limit, a time budget or a stream) deliver through the gate and poll the
-/// shared flag and the deadline at scheduling boundaries; plain full
-/// enumerations pass no hooks at all, keeping the workers' batched result
-/// hand-off.
-fn parallel_runtime<'a>(
-    incremental: bool,
-    emit: &'a (dyn Fn(&Biplex) -> Control + Sync),
-    cancel: &'a AtomicBool,
+/// Runs a traversal-family spec on the graph it prepares, in this order:
+///
+/// 1. for [`Algorithm::Large`] with the core reduction on, the
+///    (θ_R − k, θ_L − k)-core of Section 5 — every large MBP survives it,
+///    because each of its left vertices keeps at least θ_R − k neighbours
+///    and each right vertex at least θ_L − k;
+/// 2. the [`VertexOrder`] relabeling;
+/// 3. for [`Anchor::Right`], the transpose with θ_L and θ_R swapped — the
+///    right-anchored traversal of Section 6.2 is the left-anchored one on
+///    Gᵀ.
+///
+/// The engine gets that graph plus one emit closure, which maps each
+/// solution back to input ids and offers it to the gate. The reported
+/// [`ReducedGraph`] is the core in the input's orientation.
+fn run_traversal(
+    g: &BipartiteGraph,
+    spec: &QuerySpec,
+    gate: &Gate<'_>,
+    cancel: &AtomicBool,
     deadline: Option<Instant>,
-) -> ParRuntime<'a> {
-    if incremental {
-        ParRuntime { emit: Some(emit), cancel: Some(cancel), deadline }
-    } else {
-        ParRuntime::default()
+) -> (EngineStats, Option<ReducedGraph>) {
+    let large = spec.algorithm == Algorithm::Large;
+    let core = (large && spec.core_reduction.unwrap_or(true)).then(|| {
+        let alpha = spec.theta_right.saturating_sub(spec.k);
+        let beta = spec.theta_left.saturating_sub(spec.k);
+        alpha_beta_core_subgraph(g, alpha, beta)
+    });
+    let g = core.as_ref().map_or(g, |core| &core.graph);
+    let reduced = large.then(|| ReducedGraph {
+        left: g.num_left(),
+        right: g.num_right(),
+        edges: g.num_edges(),
+    });
+    let relabeling = (spec.order != VertexOrder::Input).then(|| Relabeling::compute(g, spec.order));
+    let relabeled = relabeling.as_ref().map(|relabeling| relabeling.apply(g));
+    let g = relabeled.as_ref().unwrap_or(g);
+    let right = spec.anchor == Some(Anchor::Right);
+    let transposed = right.then(|| g.transpose());
+    let g = transposed.as_ref().unwrap_or(g);
+    let mut spec = spec.clone();
+    if right {
+        spec.anchor = Some(Anchor::Left);
+        std::mem::swap(&mut spec.theta_left, &mut spec.theta_right);
     }
-}
 
-/// Feeds a collect-mode result set through the gate (no-op for the empty
-/// vector an emit-mode run returns). A sink stop ends the feed early.
-fn feed_collected(gate: &Gate<'_>, collected: &[Biplex]) {
-    for b in collected {
-        if gate.offer(b) == Control::Stop {
-            break;
+    // Undo the preparations in reverse order.
+    let emit = |b: &Biplex| {
+        if !right && relabeling.is_none() && core.is_none() {
+            return gate.offer(b);
         }
-    }
+        let mut b = if right { b.clone().transpose() } else { b.clone() };
+        if let Some(relabeling) = &relabeling {
+            b = b.map_back(relabeling);
+        }
+        if let Some(core) = &core {
+            let (left, right) = core.original_pair(&b.left, &b.right);
+            b = Biplex::new(left, right);
+        }
+        gate.offer(&b)
+    };
+    let stats = match spec.engine {
+        Engine::Sequential => EngineStats::Sequential(traverse(g, &spec, deadline, cancel, &emit)),
+        Engine::WorkSteal => {
+            EngineStats::Parallel(par_run(g, &spec, &ParRuntime { emit: &emit, cancel, deadline }))
+        }
+    };
+    (stats, reduced)
 }
 
 #[cfg(test)]
@@ -1171,6 +1107,18 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_stream_stops_even_when_thresholds_filter_every_delivery() {
+        // bTraversal prunes nothing by size, so with θ_L above |L| it walks
+        // the whole solution graph (seconds on this graph) without a single
+        // delivery: only the engine's own poll of the flag can stop it.
+        let g = bigraph::gen::chung_lu_bipartite(60, 60, 240, 2.2, 5);
+        let e = Enumerator::new(&g).algorithm(Algorithm::BTraversal).thresholds(61, 0);
+        let report = e.stream().unwrap().finish();
+        assert_eq!(report.stop, StopReason::Cancelled);
+        assert_eq!(report.solutions, 0);
+    }
+
+    #[test]
     fn stream_matches_run_and_supports_early_drop() {
         let g = random_graph(6, 6, 0.5, 7);
         let expected = collect(&Enumerator::new(&g));
@@ -1189,10 +1137,10 @@ mod tests {
 
     #[test]
     fn early_stream_finish_reports_cancelled_not_sink_stopped() {
-        // 7×7 at p=0.5 has far more solutions than the 2-slot buffer, so
-        // the producer is still mid-run when the stream is abandoned.
-        let g = random_graph(7, 7, 0.5, 13);
-        let mut stream = Enumerator::new(&g).stream_buffer(2).stream().unwrap();
+        // 1,451 solutions are far more than the 256-slot buffer, so the
+        // producer is still mid-run when the stream is abandoned.
+        let g = bigraph::gen::chung_lu_bipartite(24, 24, 70, 2.2, 11);
+        let mut stream = Enumerator::new(&g).stream().unwrap();
         let _first = stream.next().expect("at least one solution");
         let report = stream.finish();
         assert_eq!(report.stop, StopReason::Cancelled);

@@ -491,7 +491,7 @@ mod tests {
         for seed in 0..10u64 {
             let g = random_graph(5, 5, 0.5, seed);
             for k in 0..=2usize {
-                let sym = crate::traversal::tests_support::enumerate_all(&g, k);
+                let sym = crate::api::Enumerator::new(&g).k(k).collect().unwrap();
                 let asym = collect_asym(&g, KPair::symmetric(k));
                 assert_eq!(sym, asym, "seed {seed} k {k}");
             }
@@ -561,9 +561,11 @@ mod tests {
         let kp = KPair::new(1, 2);
         let all = collect_asym(&g, kp);
         assert!(all.len() > 2);
-        let mut sink = crate::sink::FirstN::new(2);
-        let stats = run_asym(&g, kp, &mut sink);
-        assert_eq!(sink.len(), 2);
+        let e = crate::api::Enumerator::new(&g).algorithm(crate::api::Algorithm::Asym);
+        let mut sink = crate::sink::CountingSink::new();
+        let report = e.k_pair(kp).limit(2).run(&mut sink).unwrap();
+        assert_eq!(sink.count, 2);
+        let crate::api::EngineStats::Asym(stats) = report.stats else { unreachable!() };
         assert!(stats.stopped_early);
     }
 }

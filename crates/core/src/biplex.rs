@@ -80,7 +80,7 @@ impl Biplex {
     }
 
     /// Maps a solution found on a relabeled graph back to the original
-    /// vertex ids. Both the sequential and the parallel engines route their
+    /// vertex ids. The facade routes every engine's
     /// [`VertexOrder`](bigraph::order::VertexOrder) handling through this,
     /// so the inverse mapping lives in exactly one place.
     pub fn map_back(&self, relabeling: &bigraph::order::Relabeling) -> Biplex {
@@ -94,8 +94,7 @@ impl Biplex {
 /// Length of the intersection of two sorted slices. Delegates to the
 /// kernel dispatcher (`bigraph::intersect::dispatch`, through its stable
 /// CSR alias), which picks merge/gallop/chunked/bitset from the measured
-/// crossover heuristic and honours the engines' per-thread `--kernel`
-/// override.
+/// crossover heuristic.
 pub(crate) fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
     bigraph::csr::intersection_len(a, b)
 }

@@ -101,9 +101,9 @@ struct Tally {
 }
 
 thread_local! {
-    /// This thread's tally for [`count_candidates`]. Thread-local, like the
-    /// kernel override of [`bigraph::intersect`], so the engines' workers
-    /// never share or lock it and no signature has to carry it.
+    /// This thread's tally for [`count_candidates`]. Thread-local, so the
+    /// engines' workers never share or lock it and no signature has to
+    /// carry it.
     static TALLY: RefCell<Tally> = RefCell::new(Tally::default());
 }
 

@@ -1,199 +1,19 @@
-//! Large maximal k-biplex enumeration (Section 5).
+//! Unit tests of large maximal k-biplex enumeration (Section 5).
 //!
-//! A *large MBP* has at least `θ_L` vertices on the left and `θ_R` on the
-//! right. The pipeline combines
-//!
-//! 1. a (θ_R − k, θ_L − k)-core reduction of the input graph — every large
-//!    MBP survives it because each of its left vertices keeps at least
-//!    `θ_R − k` neighbours and each right vertex at least `θ_L − k`;
-//! 2. the `iTraversal` size prunings inside the engine (almost-satisfying
-//!    graph pruning, local-solution pruning, solution pruning and the
-//!    exclusion-based left-side pruning), enabled through
-//!    [`TraversalConfig::with_thresholds`].
-//!
-//! Solutions are translated back to the original vertex ids before being
-//! reported.
+//! The pipeline has no module of its own: [`crate::api`] prepares the graph
+//! (the (θ_R − k, θ_L − k)-core reduction, the relabeling, the right-anchor
+//! transpose) and the traversal applies the size prunings. These tests run
+//! [`Algorithm::Large`](crate::api::Algorithm::Large) through the facade on
+//! both engines and check it against the brute-force oracle.
 
-use bigraph::core_decomp::alpha_beta_core_subgraph;
-use bigraph::BipartiteGraph;
-
-use crate::biplex::Biplex;
-use crate::parallel::{par_run, ParRuntime};
-use crate::sink::SolutionSink;
-use crate::stats::TraversalStats;
-use crate::traversal::{traverse, TraversalConfig};
-
-/// Parameters of a large-MBP enumeration.
-#[derive(Clone, Copy, Debug)]
-pub struct LargeMbpParams {
-    /// The k of the k-biplex definition.
-    pub k: usize,
-    /// Minimum left-side size θ_L.
-    pub theta_left: usize,
-    /// Minimum right-side size θ_R.
-    pub theta_right: usize,
-    /// Whether to run the (θ−k)-core reduction before enumerating.
-    pub core_reduction: bool,
-}
-
-impl LargeMbpParams {
-    /// Both sides at least `theta` (the setting used in the paper's
-    /// Figure 10 experiments).
-    pub fn symmetric(k: usize, theta: usize) -> Self {
-        LargeMbpParams { k, theta_left: theta, theta_right: theta, core_reduction: true }
-    }
-}
-
-/// Result of a large-MBP run: statistics of the traversal plus the size of
-/// the reduced graph actually enumerated.
-#[derive(Clone, Debug, Default)]
-pub struct LargeMbpReport {
-    /// Traversal statistics (on the reduced graph).
-    pub stats: TraversalStats,
-    /// Vertices of the reduced graph (left, right).
-    pub reduced_size: (u32, u32),
-    /// Edges of the reduced graph.
-    pub reduced_edges: u64,
-}
-
-/// The large-MBP pipeline behind the [`crate::api::Enumerator`] facade:
-/// (θ−k)-core reduction, size-pruned traversal, translation back to
-/// original ids.
-pub(crate) fn run_large<S: SolutionSink + ?Sized>(
-    g: &BipartiteGraph,
-    params: &LargeMbpParams,
-    base_config: &TraversalConfig,
-    sink: &mut S,
-) -> LargeMbpReport {
-    let mut config = base_config.clone();
-    config.k = params.k;
-    config.theta_left = params.theta_left;
-    config.theta_right = params.theta_right;
-
-    if !params.core_reduction {
-        let stats = traverse(g, &config, sink);
-        return LargeMbpReport {
-            stats,
-            reduced_size: (g.num_left(), g.num_right()),
-            reduced_edges: g.num_edges(),
-        };
-    }
-
-    // (θ_R − k)-core on the left degrees, (θ_L − k)-core on the right
-    // degrees: each left vertex of a large MBP has ≥ θ_R − k neighbours and
-    // vice versa.
-    let alpha = params.theta_right.saturating_sub(params.k);
-    let beta = params.theta_left.saturating_sub(params.k);
-    let reduced = alpha_beta_core_subgraph(g, alpha, beta);
-
-    let mut mapping_sink = |b: &Biplex| {
-        let (left, right) = reduced.original_pair(&b.left, &b.right);
-        sink.on_solution(&Biplex::new(left, right))
-    };
-    let stats = traverse(&reduced.graph, &config, &mut mapping_sink);
-    LargeMbpReport {
-        stats,
-        reduced_size: (reduced.graph.num_left(), reduced.graph.num_right()),
-        reduced_edges: reduced.graph.num_edges(),
-    }
-}
-
-/// Report of a parallel large-MBP run.
-#[derive(Debug)]
-pub struct ParLargeMbpReport {
-    /// Parallel run statistics (on the reduced graph).
-    pub stats: crate::parallel::ParallelStats,
-    /// Vertices of the reduced graph (left, right).
-    pub reduced_size: (u32, u32),
-    /// Edges of the reduced graph.
-    pub reduced_edges: u64,
-}
-
-/// The parallel large-MBP pipeline behind the facade: the same (θ−k)-core
-/// reduction, then the work-stealing engine (with the host-local exclusion
-/// slice) and the size thresholds pushed into the search. In collect mode (no emit hook on `rt`) the large MBPs come
-/// back in original ids, sorted canonically; in streaming mode they go
-/// through the emit hook (already translated) and the vector is empty.
-pub(crate) fn par_run_large(
-    g: &BipartiteGraph,
-    params: &LargeMbpParams,
-    base_config: &crate::parallel::ParallelConfig,
-    rt: &ParRuntime<'_>,
-) -> (Vec<Biplex>, ParLargeMbpReport) {
-    let mut config = base_config.clone();
-    config.k = params.k;
-    config.theta_left = params.theta_left;
-    config.theta_right = params.theta_right;
-
-    if !params.core_reduction {
-        let (mut solutions, stats) = par_run(g, &config, true, rt);
-        solutions.sort();
-        let report = ParLargeMbpReport {
-            stats,
-            reduced_size: (g.num_left(), g.num_right()),
-            reduced_edges: g.num_edges(),
-        };
-        return (solutions, report);
-    }
-
-    let alpha = params.theta_right.saturating_sub(params.k);
-    let beta = params.theta_left.saturating_sub(params.k);
-    let reduced = alpha_beta_core_subgraph(g, alpha, beta);
-
-    let (mapped, stats) = if let Some(emit) = rt.emit {
-        // Streaming delivery: translate ids on the way through the hook.
-        let mapping_emit = |b: &Biplex| {
-            let (left, right) = reduced.original_pair(&b.left, &b.right);
-            emit(&Biplex::new(left, right))
-        };
-        let mapped_rt = ParRuntime { emit: Some(&mapping_emit), ..*rt };
-        let (_, stats) = par_run(&reduced.graph, &config, true, &mapped_rt);
-        (Vec::new(), stats)
-    } else {
-        let (solutions, stats) = par_run(&reduced.graph, &config, true, rt);
-        let mut mapped: Vec<Biplex> = solutions
-            .into_iter()
-            .map(|b| {
-                let (left, right) = reduced.original_pair(&b.left, &b.right);
-                Biplex::new(left, right)
-            })
-            .collect();
-        mapped.sort();
-        (mapped, stats)
-    };
-    let report = ParLargeMbpReport {
-        stats,
-        reduced_size: (reduced.graph.num_left(), reduced.graph.num_right()),
-        reduced_edges: reduced.graph.num_edges(),
-    };
-    (mapped, report)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::api::{Algorithm, Engine, Enumerator, ReducedGraph};
     use crate::bruteforce::brute_force_large_mbps;
+    use crate::sink::{CollectSink, CountingSink};
+    use crate::traversal::Anchor;
+    use bigraph::BipartiteGraph;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// Non-deprecated stand-ins for the legacy collect wrappers.
-    fn collect_large(
-        g: &BipartiteGraph,
-        params: &LargeMbpParams,
-        base_config: &TraversalConfig,
-    ) -> Vec<Biplex> {
-        let mut sink = crate::sink::CollectSink::new();
-        run_large(g, params, base_config, &mut sink);
-        sink.into_sorted()
-    }
-
-    fn par_collect_large(
-        g: &BipartiteGraph,
-        params: &LargeMbpParams,
-        base_config: &crate::parallel::ParallelConfig,
-    ) -> (Vec<Biplex>, ParLargeMbpReport) {
-        par_run_large(g, params, base_config, &ParRuntime::default())
-    }
 
     fn random_graph(nl: u32, nr: u32, p: f64, seed: u64) -> BipartiteGraph {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -208,25 +28,36 @@ mod tests {
         BipartiteGraph::from_edges(nl, nr, &edges).unwrap()
     }
 
+    fn large(
+        g: &BipartiteGraph,
+        k: usize,
+        theta_left: usize,
+        theta_right: usize,
+    ) -> Enumerator<'_> {
+        Enumerator::new(g).k(k).algorithm(Algorithm::Large).thresholds(theta_left, theta_right)
+    }
+
+    fn expected(
+        g: &BipartiteGraph,
+        k: usize,
+        theta_left: usize,
+        theta_right: usize,
+    ) -> Vec<crate::biplex::Biplex> {
+        let mut e = brute_force_large_mbps(g, k, theta_left, theta_right);
+        e.sort();
+        e
+    }
+
     #[test]
     fn matches_brute_force_with_and_without_core_reduction() {
         for seed in 0..12u64 {
             let g = random_graph(6, 6, 0.6, seed);
             for k in 1..=2usize {
                 for theta in 2..=3usize {
-                    let expected = {
-                        let mut e = brute_force_large_mbps(&g, k, theta, theta);
-                        e.sort();
-                        e
-                    };
+                    let expected = expected(&g, k, theta, theta);
                     for core in [true, false] {
-                        let params = LargeMbpParams {
-                            k,
-                            theta_left: theta,
-                            theta_right: theta,
-                            core_reduction: core,
-                        };
-                        let got = collect_large(&g, &params, &TraversalConfig::itraversal(k));
+                        let got =
+                            large(&g, k, theta, theta).core_reduction(core).collect().unwrap();
                         assert_eq!(got, expected, "seed {seed} k {k} θ {theta} core {core}");
                     }
                 }
@@ -236,24 +67,20 @@ mod tests {
 
     #[test]
     fn parallel_large_mbps_match_sequential() {
-        use crate::parallel::ParallelConfig;
         for seed in 0..6u64 {
             let g = random_graph(7, 7, 0.55, seed);
             let k = 1;
             for theta in 2..=3usize {
                 for core in [true, false] {
-                    let params = LargeMbpParams {
-                        k,
-                        theta_left: theta,
-                        theta_right: theta,
-                        core_reduction: core,
-                    };
-                    let expected = collect_large(&g, &params, &TraversalConfig::itraversal(k));
-                    let (got, report) =
-                        par_collect_large(&g, &params, &ParallelConfig::new(k).with_threads(3));
+                    let e = large(&g, k, theta, theta).core_reduction(core);
+                    let expected = e.collect().unwrap();
+                    let mut sink = CollectSink::new();
+                    let report = e.engine(Engine::WorkSteal).threads(3).run(&mut sink).unwrap();
+                    let got = sink.into_sorted();
                     assert_eq!(got, expected, "seed {seed} θ {theta} core {core}");
-                    assert_eq!(report.stats.reported as usize, got.len());
-                    assert!(report.reduced_size.0 <= g.num_left());
+                    assert_eq!(report.solutions as usize, got.len());
+                    let reduced = report.reduced.expect("large runs report the reduction");
+                    assert!(reduced.left <= g.num_left());
                 }
             }
         }
@@ -264,34 +91,34 @@ mod tests {
         for seed in 20..26u64 {
             let g = random_graph(6, 5, 0.6, seed);
             let k = 1;
-            let expected = {
-                let mut e = brute_force_large_mbps(&g, k, 3, 2);
-                e.sort();
-                e
-            };
-            let params = LargeMbpParams { k, theta_left: 3, theta_right: 2, core_reduction: true };
-            let got = collect_large(&g, &params, &TraversalConfig::itraversal(k));
-            assert_eq!(got, expected, "seed {seed}");
+            let got = large(&g, k, 3, 2).collect().unwrap();
+            assert_eq!(got, expected(&g, k, 3, 2), "seed {seed}");
         }
     }
 
     #[test]
     fn core_reduction_shrinks_the_graph() {
-        let g = random_graph(40, 40, 0.08, 3);
-        let params = LargeMbpParams::symmetric(1, 4);
-        let mut sink = crate::sink::CountingSink::new();
-        let report = run_large(&g, &params, &TraversalConfig::itraversal(1), &mut sink);
-        assert!(report.reduced_size.0 <= g.num_left());
-        assert!(report.reduced_size.1 <= g.num_right());
-        assert!(report.reduced_edges <= g.num_edges());
+        // A sparse graph loses vertices and edges to the (θ−k)-core, which
+        // is reported in the input's orientation also under the right
+        // anchor; without the reduction the whole graph is enumerated.
+        let g = random_graph(40, 30, 0.08, 3);
+        let reduced = |e: Enumerator<'_>| e.run(&mut CountingSink::new()).unwrap().reduced;
+        let core = reduced(large(&g, 1, 4, 3)).expect("large runs report the reduction");
+        assert!(core.left < g.num_left() && core.right <= g.num_right());
+        assert!(core.edges < g.num_edges());
+        assert_eq!(reduced(large(&g, 1, 4, 3).anchor(Anchor::Right)), Some(core));
+        let whole = ReducedGraph { left: 40, right: 30, edges: g.num_edges() };
+        assert_eq!(reduced(large(&g, 1, 4, 3).core_reduction(false)), Some(whole));
     }
 
     #[test]
     fn high_threshold_returns_nothing() {
         let g = random_graph(6, 6, 0.3, 9);
-        let params = LargeMbpParams::symmetric(1, 6);
-        let got = collect_large(&g, &params, &TraversalConfig::itraversal(1));
-        let expected = brute_force_large_mbps(&g, 1, 6, 6);
-        assert_eq!(got.len(), expected.len());
+        assert_eq!(large(&g, 1, 6, 6).collect().unwrap(), expected(&g, 1, 6, 6));
+        // Thresholds above the side sizes leave nothing to report.
+        for engine in [Engine::Sequential, Engine::WorkSteal] {
+            let got = large(&g, 1, 7, 7).engine(engine).collect().unwrap();
+            assert!(got.is_empty(), "{engine}");
+        }
     }
 }

@@ -33,14 +33,18 @@
 //! * [`api`] — the [`Enumerator`] builder facade: the single entry point
 //!   for every algorithm variant × engine combination, with streaming,
 //!   first-N limits, time budgets and cooperative cancellation.
+//!   It prepares the graph every traversal runs on (the (θ−k)-core
+//!   reduction of large-MBP enumeration, Section 5; the vertex relabeling;
+//!   the transpose of the right-anchored variant) and maps each solution
+//!   back to input ids.
 //! * [`traversal`] — the reverse-search engine implementing both
-//!   `bTraversal` (Algorithm 1) and `iTraversal` (Algorithm 2) with the
-//!   left-anchored, right-shrinking and exclusion-strategy prunings as
-//!   individually toggleable options. Its expansion step, the
-//!   `iThreeStep`, is one function shared with the parallel engine.
+//!   `bTraversal` (Algorithm 1) and `iTraversal` (Algorithm 2); the
+//!   algorithm picks which of the left-anchored, right-shrinking and
+//!   exclusion-strategy prunings are on. Its expansion step, the
+//!   `iThreeStep`, is one function shared with the parallel engine, and
+//!   the large-MBP size prunings run inside it.
 //! * [`mod@enum_almost_sat`] — the `EnumAlmostSat` procedure (Section 4) in its
 //!   four refined variants plus the inflation-based baseline (Figure 12).
-//! * [`large`] — large-MBP enumeration with size thresholds (Section 5).
 //! * [`asym`] — asymmetric `(k_L, k_R)` budgets (the generalisation the
 //!   paper mentions after Definition 2.1).
 //! * [`parallel`] — a thread-parallel enumeration of the full MBP set (the
@@ -67,7 +71,8 @@ pub mod enum_almost_sat;
 pub mod extend;
 pub mod initial;
 pub mod json;
-pub mod large;
+#[cfg(test)]
+mod large;
 pub mod parallel;
 pub mod sink;
 pub mod stats;
@@ -82,18 +87,14 @@ pub use api::{
     SolutionStream, StopReason,
 };
 pub use asym::{is_asym_biplex, KPair};
-pub use bigraph::intersect::Kernel;
 pub use bigraph::order::VertexOrder;
 pub use biplex::{is_k_biplex, is_maximal_k_biplex, Biplex, PartialBiplex};
 pub use dynamic::{DynamicConfig, DynamicEnumerator, DynamicError, MaintainStats, UpdateDiff};
 pub use enum_almost_sat::{enum_almost_sat, AlmostSatStats, EnumKind};
 pub use json::{Json, JsonError};
-pub use large::{LargeMbpParams, LargeMbpReport, ParLargeMbpReport};
 pub use parallel::seen::ConcurrentSeenSet;
-pub use parallel::{ParallelConfig, ParallelStats};
-pub use sink::{
-    CollectSink, Control, CountingSink, DelayRecorder, DelayReport, FirstN, SolutionSink,
-};
+pub use parallel::ParallelStats;
+pub use sink::{CollectSink, Control, CountingSink, DelayRecorder, DelayReport, SolutionSink};
 pub use stats::TraversalStats;
-pub use store::{BTreeStore, HashStore, SolutionStore};
-pub use traversal::{Anchor, EmitMode, TraversalConfig};
+pub use store::{HashStore, SolutionStore};
+pub use traversal::{Anchor, EmitMode};

@@ -15,9 +15,7 @@
 //! end of a random victim's deque when it runs dry — one item from a
 //! shallow victim, the oldest half of a deep one. De-duplication goes
 //! through a lock-free [`seen::ConcurrentSeenSet`] (atomic-swap bucket
-//! chains behind a segmented directory that grows under load), and results
-//! are handed to the shared output vector in batches to keep the output
-//! lock out of the hot path.
+//! chains behind a segmented directory that grows under load).
 //!
 //! The engine runs the left-anchored + right-shrinking `iTraversal`
 //! configuration (those prunings' correctness arguments never reference the
@@ -46,59 +44,52 @@
 //! discovery order is not. The [`crate::api::Enumerator::collect`]
 //! terminal returns the canonically sorted set.
 //!
-//! A [`VertexOrder`] relabeling pass can be applied up front (see
-//! [`bigraph::order`]): the engine then runs on the relabeled graph and the
-//! solutions are mapped back to the original ids on the way out.
-//!
-//! The engine supports *cooperative cancellation*: the facade
-//! ([`crate::api::Enumerator`]) hands it a shared `AtomicBool` which the
-//! workers poll at steal/expand boundaries (and between local solutions of
-//! one expansion), so early-stopping "first N" and time-budgeted runs stop
-//! within one expansion instead of running to completion. Streaming
-//! delivery goes through an optional per-solution callback instead of the
-//! collected output vector.
+//! The engine runs on the graph the facade ([`crate::api::Enumerator`])
+//! prepared (core-reduced, relabeled) and hands every solution to the
+//! facade's emit closure, which maps it back to input ids and offers it to
+//! the stopping rules. It supports *cooperative cancellation*: the facade
+//! also hands it a shared `AtomicBool` which the workers poll at
+//! steal/expand boundaries (and between local solutions of one expansion),
+//! so a limit, a time budget or a sink that stops ends the run within one
+//! expansion instead of running to completion.
 
 pub mod seen;
 pub mod work_steal;
 
 use std::time::Instant;
 
-use bigraph::intersect::Kernel;
-use bigraph::order::{Relabeling, VertexOrder};
-use bigraph::{BipartiteGraph, VertexRef};
+use bigraph::VertexRef;
 
 use crate::biplex::{Biplex, PartialBiplex};
-use crate::enum_almost_sat::EnumKind;
 use crate::sink::Control;
 use crate::stats::TraversalStats;
 use crate::step::{Expansion, ThreeStep};
 use crate::sync::atomic::AtomicBool;
 use crate::sync::order;
 
-/// Runtime hooks of one parallel run, injected by the facade: an optional
-/// per-solution callback (streaming delivery instead of the collected
-/// output vector) and an optional shared cancellation flag polled by every
-/// worker at steal/expand boundaries.
-#[derive(Clone, Copy, Default)]
+pub(crate) use work_steal::par_run;
+
+/// Runtime hooks of one parallel run, injected by the facade: the
+/// per-solution emit closure and the shared cancellation flag polled by
+/// every worker at steal/expand boundaries.
 pub(crate) struct ParRuntime<'a> {
-    /// When set, reported solutions are handed to this callback (in
-    /// nondeterministic discovery order) instead of being collected; a
-    /// [`Control::Stop`] verdict requests cancellation of the whole run.
-    pub emit: Option<&'a (dyn Fn(&Biplex) -> Control + Sync)>,
+    /// Takes every reported solution, in nondeterministic discovery order;
+    /// a [`Control::Stop`] verdict requests cancellation of the whole run.
+    pub emit: &'a (dyn Fn(&Biplex) -> Control + Sync),
     /// Shared stop flag. Workers exit their scheduling loops and abandon
     /// in-flight expansions as soon as it reads `true`.
-    pub cancel: Option<&'a AtomicBool>,
+    pub cancel: &'a AtomicBool,
     /// Hard deadline polled alongside the flag at scheduling boundaries, so
     /// a time-budgeted run stops even when no solution ever reaches the
     /// emit callback (e.g. thresholds filter everything out).
     pub deadline: Option<Instant>,
 }
 
-/// `true` once the shared stop `flag` is raised (`None` never is).
-pub(crate) fn is_raised(flag: Option<&AtomicBool>) -> bool {
+/// `true` once the shared stop `flag` is raised.
+pub(crate) fn is_raised(flag: &AtomicBool) -> bool {
     // ordering: Relaxed — the flag is a pure liveness signal, no data is
     // published through it; see DESIGN.md "cancel-flag".
-    flag.is_some_and(|c| c.load(order!(Relaxed, "cancel-flag")))
+    flag.load(order!(Relaxed, "cancel-flag"))
 }
 
 impl ParRuntime<'_> {
@@ -121,105 +112,29 @@ impl ParRuntime<'_> {
         false
     }
 
-    /// Requests cancellation (no-op without a flag).
+    /// Requests cancellation.
     pub(crate) fn request_cancel(&self) {
-        if let Some(c) = self.cancel {
-            // ordering: Relaxed — liveness-only signal, no data published
-            // through the flag; see DESIGN.md "cancel-flag".
-            c.store(true, order!(Relaxed, "cancel-flag"));
-        }
+        // ordering: Relaxed — liveness-only signal, no data published
+        // through the flag; see DESIGN.md "cancel-flag".
+        self.cancel.store(true, order!(Relaxed, "cancel-flag"));
     }
 
-    /// Delivers one reported solution through the callback, translating a
-    /// stop verdict into a cancellation request. Returns `false` when the
-    /// engine should keep the solution for the collected output instead.
-    pub(crate) fn deliver(&self, solution: &Biplex) -> bool {
-        match self.emit {
-            Some(emit) => {
-                if emit(solution) == Control::Stop {
-                    self.request_cancel();
-                }
-                true
-            }
-            None => false,
+    /// Delivers one reported solution through the emit closure, turning a
+    /// stop verdict into a cancellation request.
+    pub(crate) fn deliver(&self, solution: &Biplex) {
+        if (self.emit)(solution) == Control::Stop {
+            self.request_cancel();
         }
     }
 }
 
-/// Configuration of a parallel enumeration run.
-#[derive(Clone, Debug)]
-pub struct ParallelConfig {
-    /// The `k` of the k-biplex definition.
-    pub k: usize,
-    /// Worker thread count. `0` means "use the available parallelism
-    /// reported by the operating system".
-    pub threads: usize,
-    /// Which `EnumAlmostSat` implementation each worker uses.
-    pub enum_kind: EnumKind,
-    /// Minimum left-side size of reported MBPs (`0` disables).
-    pub theta_left: usize,
-    /// Minimum right-side size of reported MBPs (`0` disables).
-    pub theta_right: usize,
-    /// Vertex relabeling applied before the run (solutions are mapped back).
-    pub order: VertexOrder,
-    /// Intersection kernel installed on every worker thread
-    /// ([`Kernel::Auto`] applies the measured crossover heuristic; the rest
-    /// force one kernel for `--kernel` A/B runs).
-    pub kernel: Kernel,
-}
-
-impl ParallelConfig {
-    /// Default configuration: `L2.0+R2.0` local enumeration, OS-chosen
-    /// thread count, no size thresholds, input order.
-    pub fn new(k: usize) -> Self {
-        ParallelConfig {
-            k,
-            threads: 0,
-            enum_kind: EnumKind::L2R2,
-            theta_left: 0,
-            theta_right: 0,
-            order: VertexOrder::Input,
-            kernel: Kernel::Auto,
-        }
+/// Worker threads of a parallel run: `requested`, or the available
+/// parallelism reported by the operating system when it is `0`.
+pub(crate) fn resolved_threads(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
     }
-
-    /// Sets the number of worker threads (`0` = auto).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Selects the `EnumAlmostSat` implementation.
-    pub fn with_enum_kind(mut self, kind: EnumKind) -> Self {
-        self.enum_kind = kind;
-        self
-    }
-
-    /// Sets the large-MBP size thresholds (`0` disables a side).
-    pub fn with_thresholds(mut self, theta_left: usize, theta_right: usize) -> Self {
-        self.theta_left = theta_left;
-        self.theta_right = theta_right;
-        self
-    }
-
-    /// Selects the vertex relabeling pass.
-    pub fn with_order(mut self, order: VertexOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Selects the intersection kernel (default [`Kernel::Auto`]).
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    pub(crate) fn resolved_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Aggregate statistics of a parallel run.
@@ -300,50 +215,31 @@ pub(crate) fn expand_solution<C, N>(
     }
 }
 
-/// The relabeling pass plus the work-stealing run behind the
-/// [`crate::api::Enumerator`] facade. A relabeling pass runs the engine on
-/// the permuted graph and maps the solutions back (in collect mode through
-/// the output vector, in streaming mode by wrapping the emit callback); the
-/// canonical solution set is unchanged. `exclusion` selects the host-local
-/// exclusion slice — the algorithm's choice: on for `iTraversal` and the
-/// large-MBP pipeline, off for the `iTraversal-ES` ablation.
-pub(crate) fn par_run(
-    g: &BipartiteGraph,
-    config: &ParallelConfig,
-    exclusion: bool,
-    rt: &ParRuntime<'_>,
-) -> (Vec<Biplex>, ParallelStats) {
-    if config.order != VertexOrder::Input {
-        let relab = Relabeling::compute(g, config.order);
-        let rg = relab.apply(g);
-        let cfg = ParallelConfig { order: VertexOrder::Input, ..config.clone() };
-        if let Some(emit) = rt.emit {
-            let mapped_emit = |b: &Biplex| emit(&b.map_back(&relab));
-            let mapped_rt = ParRuntime { emit: Some(&mapped_emit), ..*rt };
-            return par_run(&rg, &cfg, exclusion, &mapped_rt);
-        }
-        let (solutions, stats) = par_run(&rg, &cfg, exclusion, rt);
-        let mapped = solutions.iter().map(|b| b.map_back(&relab)).collect();
-        return (mapped, stats);
-    }
-    work_steal::run(g, config, exclusion, rt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{Algorithm, Engine, EngineStats, Enumerator};
-    use crate::traversal::tests_support::enumerate_all;
+    use crate::enum_almost_sat::EnumKind;
+    use crate::sink::CollectSink;
+    use bigraph::order::VertexOrder;
+    use bigraph::BipartiteGraph;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The engine under its default runtime (no emit hook, no cancel) with
-    /// the host-local exclusion slice on.
-    fn par_enumerate_mbps(
-        g: &BipartiteGraph,
-        cfg: &ParallelConfig,
-    ) -> (Vec<Biplex>, ParallelStats) {
-        par_run(g, cfg, true, &ParRuntime::default())
+    /// All MBPs under the sequential `iTraversal`, sorted canonically.
+    fn enumerate_all(g: &BipartiteGraph, k: usize) -> Vec<Biplex> {
+        Enumerator::new(g).k(k).collect().unwrap()
+    }
+
+    /// `e` on the work-stealer with `threads` workers: the solutions it
+    /// delivered, sorted canonically, and its counters.
+    fn par_enumerate_mbps(e: Enumerator<'_>, threads: usize) -> (Vec<Biplex>, ParallelStats) {
+        let mut sink = CollectSink::new();
+        let report = e.engine(Engine::WorkSteal).threads(threads).run(&mut sink).unwrap();
+        let EngineStats::Parallel(stats) = report.stats else {
+            panic!("work-steal runs report parallel stats");
+        };
+        (sink.into_sorted(), stats)
     }
 
     fn random_graph(nl: u32, nr: u32, p: f64, seed: u64) -> BipartiteGraph {
@@ -366,9 +262,7 @@ mod tests {
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
                 for threads in [1, 2, 4] {
-                    let cfg = ParallelConfig::new(k).with_threads(threads);
-                    let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                    got.sort();
+                    let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k), threads);
                     assert_eq!(got, expected, "seed {seed} k {k} threads {threads}");
                 }
             }
@@ -382,9 +276,7 @@ mod tests {
             let k = 1;
             let expected = enumerate_all(&g, k);
             for order in [VertexOrder::Degree, VertexOrder::Degeneracy] {
-                let cfg = ParallelConfig::new(k).with_threads(3).with_order(order);
-                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                got.sort();
+                let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k).order(order), 3);
                 assert_eq!(got, expected, "seed {seed} order {order}");
             }
         }
@@ -393,12 +285,12 @@ mod tests {
     #[test]
     fn parallel_stats_are_consistent() {
         let g = random_graph(7, 7, 0.5, 3);
-        let cfg = ParallelConfig::new(1).with_threads(3);
-        let (results, stats) = par_enumerate_mbps(&g, &cfg);
+        let (results, stats) = par_enumerate_mbps(Enumerator::new(&g).k(1), 3);
         assert_eq!(stats.solutions, results.len() as u64);
         assert_eq!(stats.reported, stats.solutions);
         assert!(stats.links >= stats.solutions.saturating_sub(1));
         assert_eq!(stats.threads, 3);
+        assert!(!stats.stopped_early);
     }
 
     #[test]
@@ -408,15 +300,12 @@ mod tests {
             let k = 1;
             let all = enumerate_all(&g, k);
             for (tl, tr) in [(2, 2), (3, 2), (2, 3)] {
-                let mut expected: Vec<Biplex> = all
+                let expected: Vec<Biplex> = all
                     .iter()
                     .filter(|b| b.left.len() >= tl && b.right.len() >= tr)
                     .cloned()
                     .collect();
-                expected.sort();
-                let cfg = ParallelConfig::new(k).with_threads(4).with_thresholds(tl, tr);
-                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                got.sort();
+                let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k).thresholds(tl, tr), 4);
                 assert_eq!(got, expected, "seed {seed} θ=({tl},{tr})");
             }
         }
@@ -428,9 +317,7 @@ mod tests {
         let k = 1;
         let expected = enumerate_all(&g, k);
         for kind in EnumKind::ALL {
-            let cfg = ParallelConfig::new(k).with_threads(2).with_enum_kind(kind);
-            let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-            got.sort();
+            let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k).enum_kind(kind), 2);
             assert_eq!(got, expected, "kind {kind:?}");
         }
     }
@@ -438,16 +325,13 @@ mod tests {
     #[test]
     fn degenerate_graphs() {
         let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
-        let cfg = ParallelConfig::new(1).with_threads(2);
-        let (got, _) = par_enumerate_mbps(&g, &cfg);
+        let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(1), 2);
         assert_eq!(got.len(), 1);
         assert!(got[0].is_empty());
 
         let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
         for k in 0..=2usize {
-            let cfg = ParallelConfig::new(k).with_threads(2);
-            let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-            got.sort();
+            let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k), 2);
             assert_eq!(got, enumerate_all(&g, k), "k {k}");
         }
     }
@@ -460,11 +344,10 @@ mod tests {
             let g = random_graph(7, 6, 0.5, seed);
             for k in 1..=2usize {
                 let expected = enumerate_all(&g, k);
-                for exclusion in [true, false] {
-                    let cfg = ParallelConfig::new(k).with_threads(3);
-                    let (mut got, _) = par_run(&g, &cfg, exclusion, &ParRuntime::default());
-                    got.sort();
-                    assert_eq!(got, expected, "seed {seed} k {k} exclusion {exclusion}");
+                for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
+                    let (got, _) =
+                        par_enumerate_mbps(Enumerator::new(&g).k(k).algorithm(algorithm), 3);
+                    assert_eq!(got, expected, "seed {seed} k {k} {algorithm}");
                 }
             }
         }
@@ -479,13 +362,7 @@ mod tests {
         // algorithm must follow strictly fewer links for the same set.
         let g = random_graph(8, 8, 0.7, 5);
         let run = |algorithm: Algorithm| {
-            let e = Enumerator::new(&g).k(1).algorithm(algorithm).engine(Engine::WorkSteal);
-            let mut sink = crate::sink::CollectSink::new();
-            let report = e.threads(2).run(&mut sink).unwrap();
-            let EngineStats::Parallel(stats) = report.stats else {
-                panic!("work-steal runs report parallel stats");
-            };
-            (sink.into_sorted(), stats)
+            par_enumerate_mbps(Enumerator::new(&g).k(1).algorithm(algorithm), 2)
         };
         let (with, stats_with) = run(Algorithm::ITraversal);
         let (without, stats_without) = run(Algorithm::ITraversalNoExclusion);
@@ -500,24 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_overrides_never_change_the_solution_set() {
-        for seed in 0..4u64 {
-            let g = random_graph(7, 7, 0.5, seed);
-            let k = 1;
-            let expected = enumerate_all(&g, k);
-            for kernel in Kernel::ALL {
-                let cfg = ParallelConfig::new(k).with_threads(2).with_kernel(kernel);
-                let (mut got, _) = par_enumerate_mbps(&g, &cfg);
-                got.sort();
-                assert_eq!(got, expected, "seed {seed} kernel {kernel}");
-            }
-        }
-    }
-
-    #[test]
     fn auto_thread_count_resolves() {
-        let cfg = ParallelConfig::new(1);
-        assert!(cfg.resolved_threads() >= 1);
+        assert!(resolved_threads(0) >= 1);
+        assert_eq!(resolved_threads(3), 3);
     }
 
     #[test]

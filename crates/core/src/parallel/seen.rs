@@ -136,8 +136,6 @@ pub struct ConcurrentSeenSet {
     inflight: [InflightStripe; INFLIGHT_STRIPES],
     /// Set while a thread is waiting out `inflight` to publish segments.
     growing: AtomicBool,
-    /// Growth disabled (benchmark/test hook, see [`pinned`](Self::pinned)).
-    pinned: bool,
     len: AtomicU64,
 }
 
@@ -176,19 +174,8 @@ impl ConcurrentSeenSet {
             min_segments: initial,
             inflight: Default::default(),
             growing: AtomicBool::new(false),
-            pinned: false,
             len: AtomicU64::new(0),
         }
-    }
-
-    /// Disables growth: the directory stays at its constructed geometry and
-    /// chains absorb all excess load. A benchmark/test hook — combined with
-    /// `with_geometry(1, 1 << 16)` it reproduces the retired fixed-capacity
-    /// design exactly (one contiguous 2¹⁶-bucket array, no era probes),
-    /// which is what `bench_seen` measures the growable default against.
-    pub fn pinned(mut self) -> Self {
-        self.pinned = true;
-        self
     }
 
     /// Inserts `key`; returns `true` iff this call added it (exactly one of
@@ -344,8 +331,7 @@ impl ConcurrentSeenSet {
         // grower *before* anything is allocated, so racing
         // threshold-crossers never each build (and discard) a capacity's
         // worth of segments; see DESIGN.md "seen-elect-growing".
-        if self.pinned
-            || observed >= MAX_SEGMENTS
+        if observed >= MAX_SEGMENTS
             || (self.len.load(Ordering::Relaxed) as usize) <= observed * self.segment_buckets
             || self.growing.swap(true, order!(SeqCst, "seen-elect-growing"))
         {
@@ -562,22 +548,6 @@ mod tests {
         assert_eq!(claimed, keys as u64, "every key claimed exactly once");
         assert_eq!(set.len(), keys as u64);
         assert!(set.segments() > 1, "concurrent load grew the directory");
-    }
-
-    #[test]
-    fn pinned_geometry_never_grows() {
-        // The benchmark/test hook: a pinned one-segment set absorbs any
-        // load in chains instead of publishing, like the retired fixed
-        // design.
-        let set = ConcurrentSeenSet::with_geometry(1, 16).pinned();
-        for i in 0..1_000u32 {
-            assert!(set.insert(vec![i]));
-        }
-        assert_eq!(set.segments(), 1, "pinned directory must not publish");
-        for i in 0..1_000u32 {
-            assert!(!set.insert(vec![i]));
-        }
-        assert_eq!(set.len(), 1_000);
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //! in microsecond steps until work reappears or the counter hits zero.
 //!
 //! De-duplication goes through the lock-free [`ConcurrentSeenSet`], sized
-//! from the graph; reported solutions are buffered per worker and appended
-//! to the shared output vector in batches of [`RESULT_BATCH`].
+//! from the graph; every reported solution goes to the facade's emit
+//! closure from the worker that found it.
 
 use std::collections::VecDeque;
-use std::sync::PoisonError;
 
 use bigraph::BipartiteGraph;
 
@@ -33,49 +32,44 @@ use crate::sync::atomic::AtomicUsize;
 use crate::sync::{hint, order, plock, thread, Mutex};
 
 use super::seen::ConcurrentSeenSet;
-use super::{expand_solution, ParRuntime, ParallelConfig, ParallelStats};
+use super::{expand_solution, resolved_threads, ParRuntime, ParallelStats};
+use crate::api::QuerySpec;
 use crate::biplex::Biplex;
 use crate::initial::initial_left_anchored;
 use crate::sink::Control;
 use crate::stats::TraversalStats;
 use crate::step::ThreeStep;
+use crate::traversal::rules;
 
 /// Victim-deque depth at or below which a steal takes one item instead of
 /// half.
 pub const STEAL_SHALLOW: usize = 4;
 
-/// Number of reported solutions a worker buffers locally before taking the
-/// shared output lock.
-pub const RESULT_BATCH: usize = 64;
-
-/// Runs the work-stealing enumeration. Called through [`super::par_run`];
-/// `exclusion` selects the host-local exclusion slice. The [`ParRuntime`]
-/// cancellation flag is polled at every pop/steal boundary and inside
-/// expansions, so a stop request is honoured within one expansion instead
-/// of running the search to completion.
-pub(super) fn run(
-    g: &BipartiteGraph,
-    config: &ParallelConfig,
-    exclusion: bool,
-    rt: &ParRuntime<'_>,
-) -> (Vec<Biplex>, ParallelStats) {
-    let threads = config.resolved_threads().max(1);
+/// The work-stealing engine behind the [`crate::api::Enumerator`] facade:
+/// enumerates the prepared graph `g` under the validated `spec`, handing
+/// every reported solution to the [`ParRuntime`] emit closure, and returns
+/// the run's counters. The algorithm picks the exclusion policy: the
+/// host-local slice of ℰ(H) for `iTraversal` and the large-MBP pipeline,
+/// none for the `iTraversal-ES` ablation. The cancellation flag is polled at
+/// every pop/steal boundary and inside expansions, so a stop request is
+/// honoured within one expansion instead of running the search to
+/// completion.
+pub(crate) fn par_run(g: &BipartiteGraph, spec: &QuerySpec, rt: &ParRuntime<'_>) -> ParallelStats {
+    let threads = resolved_threads(spec.threads);
+    let exclusion = rules(spec.algorithm).exclusion;
     let deques: Vec<Mutex<VecDeque<Biplex>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
     let seen = ConcurrentSeenSet::new((g.num_vertices() as usize) * 2);
     let pending = AtomicUsize::new(0);
-    let results: Mutex<Vec<Biplex>> = Mutex::new(Vec::new());
 
     let mut stats = ParallelStats { threads, ..ParallelStats::default() };
 
-    let initial = initial_left_anchored(g, config.k);
+    let initial = initial_left_anchored(g, spec.k);
     seen.insert(initial.canonical_key());
     stats.solutions = 1;
-    if initial.left.len() >= config.theta_left && initial.right.len() >= config.theta_right {
+    if initial.left.len() >= spec.theta_left && initial.right.len() >= spec.theta_right {
         stats.reported = 1;
-        if !rt.deliver(&initial) {
-            plock(&results).push(initial.clone());
-        }
+        rt.deliver(&initial);
     }
     // ordering: SeqCst — the seed item is counted before any worker can
     // observe the deque; see DESIGN.md "steal-pending".
@@ -88,10 +82,7 @@ pub(super) fn run(
                 let deques = &deques;
                 let seen = &seen;
                 let pending = &pending;
-                let results = &results;
-                scope.spawn(move || {
-                    worker(w, g, config, exclusion, rt, deques, seen, pending, results)
-                })
+                scope.spawn(move || worker(w, g, spec, exclusion, rt, deques, seen, pending))
             })
             .collect();
         for handle in handles {
@@ -103,8 +94,7 @@ pub(super) fn run(
     });
 
     stats.stopped_early = rt.cancelled();
-    let results = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    (results, stats)
+    stats
 }
 
 /// One worker: pop locally, steal when dry, exit when the pending counter
@@ -114,31 +104,25 @@ pub(super) fn run(
 fn worker(
     w: usize,
     g: &BipartiteGraph,
-    config: &ParallelConfig,
+    spec: &QuerySpec,
     exclusion: bool,
     rt: &ParRuntime<'_>,
     deques: &[Mutex<VecDeque<Biplex>>],
     seen: &ConcurrentSeenSet,
     pending: &AtomicUsize,
-    results: &Mutex<Vec<Biplex>>,
 ) -> (TraversalStats, u64) {
     let mut tally = TraversalStats::default();
     let mut steals = 0u64;
-    // Every intersection this worker performs honours the configured kernel
-    // (worker threads start from `Kernel::Auto`, so this installs the
-    // `--kernel` A/B override end-to-end).
-    let _kernel = bigraph::intersect::set_thread_kernel(config.kernel);
     // Left candidates only, right-shrinking, this run's thresholds.
     let step = ThreeStep {
         g,
         gt: None,
-        k: config.k,
-        enum_kind: config.enum_kind,
+        k: spec.k,
+        enum_kind: spec.enum_kind,
         right_shrinking: true,
-        theta_right: config.theta_right,
+        theta_right: spec.theta_right,
         cancel: rt.cancel,
     };
-    let mut batch: Vec<Biplex> = Vec::new();
     // Per-worker deterministic xorshift state for victim selection.
     let mut rng: u64 = 0x9e37_79b9_7f4a_7c15 ^ (w as u64 + 1).wrapping_mul(0x2545_f491_4f6c_dd1d);
     let mut idle = 0u32;
@@ -178,32 +162,22 @@ fn worker(
 
         let my_deque = &deques[w];
         let on_new = |solution: Biplex, tally: &mut TraversalStats| {
-            let report = solution.left.len() >= config.theta_left
-                && solution.right.len() >= config.theta_right;
-            if report {
+            if solution.left.len() >= spec.theta_left && solution.right.len() >= spec.theta_right {
                 tally.reported += 1;
+                rt.deliver(&solution);
             }
-            let collect = report && !rt.deliver(&solution);
             // Solution pruning (Section 5): descendants cannot regain
             // right-side size under right-shrinking.
-            let expandable = !(config.theta_right > 0 && solution.right.len() < config.theta_right);
+            let expandable = !(spec.theta_right > 0 && solution.right.len() < spec.theta_right);
             // A cancelled run stops scheduling new expansions; the already
             // delivered solutions stay valid.
             if expandable && !rt.cancelled() {
-                if collect {
-                    batch.push(solution.clone());
-                }
                 // Count the item before it becomes stealable so the
                 // termination check can never miss it.
                 // ordering: SeqCst — must not be reordered after the deque
                 // push below; see DESIGN.md "steal-pending".
                 pending.fetch_add(1, order!(SeqCst, "steal-pending"));
                 plock(my_deque).push_back(solution);
-            } else if collect {
-                batch.push(solution);
-            }
-            if batch.len() >= RESULT_BATCH {
-                plock(results).append(&mut batch);
             }
             Control::Continue
         };
@@ -215,10 +189,6 @@ fn worker(
         // once no queued or in-flight item remains; see DESIGN.md
         // "steal-pending".
         pending.fetch_sub(1, order!(SeqCst, "steal-pending"));
-    }
-
-    if !batch.is_empty() {
-        plock(results).append(&mut batch);
     }
     (tally, steals)
 }

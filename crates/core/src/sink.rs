@@ -2,8 +2,9 @@
 //!
 //! Every enumeration entry point takes a [`SolutionSink`]; this decouples
 //! the algorithms from what the caller wants to do with the output
-//! (count it, collect it, stop after the first N as in the paper's
-//! experiments, record inter-solution delays, …).
+//! (count it, collect it, record inter-solution delays, …). The paper's
+//! "first N results" experiments use the facade's
+//! [`limit`](crate::api::Enumerator::limit) instead of a sink.
 
 use std::time::{Duration, Instant};
 
@@ -82,45 +83,6 @@ impl SolutionSink for CollectSink {
     fn on_solution(&mut self, solution: &Biplex) -> Control {
         self.solutions.push(solution.clone());
         Control::Continue
-    }
-}
-
-/// Collects at most `limit` solutions and then stops the enumeration — the
-/// "return the first 1,000 MBPs" setting of the paper's experiments.
-#[derive(Debug)]
-pub struct FirstN {
-    /// The collected solutions (at most `limit`).
-    pub solutions: Vec<Biplex>,
-    limit: usize,
-}
-
-impl FirstN {
-    /// Stops after `limit` solutions.
-    pub fn new(limit: usize) -> Self {
-        FirstN { solutions: Vec::new(), limit }
-    }
-
-    /// Number of solutions collected.
-    pub fn len(&self) -> usize {
-        self.solutions.len()
-    }
-
-    /// `true` when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.solutions.is_empty()
-    }
-}
-
-impl SolutionSink for FirstN {
-    fn on_solution(&mut self, solution: &Biplex) -> Control {
-        if self.solutions.len() < self.limit {
-            self.solutions.push(solution.clone());
-        }
-        if self.solutions.len() >= self.limit {
-            Control::Stop
-        } else {
-            Control::Continue
-        }
     }
 }
 
@@ -234,24 +196,30 @@ mod tests {
         assert!(sorted.windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// A complete 3×3 graph minus its diagonal, which has more maximal
+    /// bicliques than the limits below.
+    fn many_solutions() -> bigraph::BipartiteGraph {
+        let edges: Vec<(u32, u32)> =
+            (0..3).flat_map(|v| (0..3).filter(move |&u| u != v).map(move |u| (v, u))).collect();
+        bigraph::BipartiteGraph::from_edges(3, 3, &edges).unwrap()
+    }
+
     #[test]
     fn first_n_stops() {
-        let mut sink = FirstN::new(2);
-        let items = sample(5);
-        assert_eq!(sink.on_solution(&items[0]), Control::Continue);
-        assert_eq!(sink.on_solution(&items[1]), Control::Stop);
-        assert_eq!(sink.len(), 2);
-        assert!(!sink.is_empty());
-        // Delivering more keeps signalling stop and does not grow the buffer.
-        assert_eq!(sink.on_solution(&items[2]), Control::Stop);
-        assert_eq!(sink.len(), 2);
+        let g = many_solutions();
+        let mut sink = CollectSink::new();
+        let report = crate::api::Enumerator::new(&g).k(0).limit(2).run(&mut sink).unwrap();
+        assert_eq!(sink.solutions.len(), 2);
+        assert_eq!(report.stop, crate::api::StopReason::LimitReached);
     }
 
     #[test]
     fn first_zero_immediately_stops() {
-        let mut sink = FirstN::new(0);
-        assert_eq!(sink.on_solution(&sample(1)[0]), Control::Stop);
-        assert!(sink.is_empty());
+        let g = many_solutions();
+        let mut sink = CountingSink::new();
+        let report = crate::api::Enumerator::new(&g).k(0).limit(0).run(&mut sink).unwrap();
+        assert_eq!(sink.count, 0);
+        assert_eq!(report.stop, crate::api::StopReason::LimitReached);
     }
 
     #[test]

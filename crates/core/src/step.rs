@@ -50,7 +50,7 @@ pub(crate) struct ThreeStep<'a> {
     pub theta_right: usize,
     /// Shared stop flag polled between local solutions; a raised flag
     /// abandons the step.
-    pub cancel: Option<&'a AtomicBool>,
+    pub cancel: &'a AtomicBool,
 }
 
 /// How one [`ThreeStep::expand`] call ended.

@@ -2,12 +2,11 @@
 //! reporting / traversing a solution more than once.
 //!
 //! The paper uses a B-tree keyed on the vertex set of a solution
-//! (Algorithm 1, lines 1 and 7–8); the standard library's `BTreeSet` plays
-//! that role here. A hash-based store is also provided — it trades the
-//! ordered iteration (not needed by the algorithms) for faster lookups and
-//! is the default used by the traversal engine.
+//! (Algorithm 1, lines 1 and 7–8). The traversal engine uses a hash set
+//! instead: the algorithms never need the ordered iteration, and hashing
+//! makes the lookups faster.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 use crate::biplex::Biplex;
 
@@ -25,34 +24,7 @@ pub trait SolutionStore {
     }
 }
 
-/// B-tree backed store (the data structure named by the paper).
-#[derive(Debug, Default)]
-pub struct BTreeStore {
-    keys: BTreeSet<Vec<u32>>,
-}
-
-impl BTreeStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SolutionStore for BTreeStore {
-    fn insert(&mut self, solution: &Biplex) -> bool {
-        self.keys.insert(solution.canonical_key())
-    }
-
-    fn contains(&self, solution: &Biplex) -> bool {
-        self.keys.contains(&solution.canonical_key())
-    }
-
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-}
-
-/// Hash-set backed store (default for the traversal engine).
+/// Hash-set backed store (the traversal engine's).
 #[derive(Debug, Default)]
 pub struct HashStore {
     keys: HashSet<Vec<u32>>,
@@ -99,11 +71,6 @@ mod tests {
         assert!(store.contains(&b));
         assert!(!store.contains(&Biplex::new(vec![5], vec![])));
         assert!(!store.is_empty());
-    }
-
-    #[test]
-    fn btree_store() {
-        exercise::<BTreeStore>();
     }
 
     #[test]

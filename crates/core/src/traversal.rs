@@ -7,9 +7,14 @@
 //!   solution graph.
 //! * **iTraversal** (Algorithm 2): designated initial solution
 //!   `H0 = (L0, R)`, left-anchored traversal, right-shrinking traversal and
-//!   the exclusion strategy, each individually toggleable so that the
-//!   ablation variants of Figure 11 (`iTraversal-ES`, `iTraversal-ES-RS`)
-//!   fall out of the same code path.
+//!   the exclusion strategy. The algorithm picks which of them are on (the
+//!   crate-private `rules` table), so the ablation variants of Figure 11
+//!   (`iTraversal-ES`, `iTraversal-ES-RS`) fall out of the same code path.
+//!
+//! The engine enumerates the graph the [`crate::api`] facade prepared for
+//! it (core-reduced, relabeled, transposed for the right anchor) and hands
+//! each solution to the facade's emit closure, which maps it back to input
+//! ids.
 //!
 //! The DFS over the implicit solution graph is driven by an explicit stack
 //! (no recursion), so arbitrarily deep solution graphs cannot overflow the
@@ -20,17 +25,16 @@
 
 use std::time::Instant;
 
-use bigraph::intersect::{set_thread_kernel, Kernel};
-use bigraph::order::{Relabeling, VertexOrder};
 use bigraph::{BipartiteGraph, Side, VertexRef};
 
+use crate::api::{Algorithm, QuerySpec};
 use crate::biplex::{Biplex, PartialBiplex};
-use crate::enum_almost_sat::EnumKind;
 use crate::initial::{initial_arbitrary, initial_left_anchored};
-use crate::sink::{Control, SolutionSink};
+use crate::sink::Control;
 use crate::stats::TraversalStats;
 use crate::step::{Expansion, ThreeStep};
 use crate::store::{HashStore, SolutionStore};
+use crate::sync::atomic::AtomicBool;
 
 /// Which designated initial solution the traversal starts from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -103,13 +107,10 @@ impl std::str::FromStr for EmitMode {
     }
 }
 
-/// Full configuration of a traversal run.
-#[derive(Clone, Debug)]
-pub struct TraversalConfig {
-    /// The `k` of the k-biplex definition.
-    pub k: usize,
-    /// Which `EnumAlmostSat` implementation to use (Figure 12 knob).
-    pub enum_kind: EnumKind,
+/// The traversal rules an algorithm switches on. The ablation variants of
+/// Figure 11 fall out of the same code path by switching them off.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rules {
     /// Restrict candidate vertices to the left side (left-anchored
     /// traversal, Section 3.3).
     pub left_anchored: bool,
@@ -117,198 +118,65 @@ pub struct TraversalConfig {
     pub right_shrinking: bool,
     /// Enable the exclusion strategy (Section 3.5).
     pub exclusion: bool,
-    /// Initial solution.
+    /// The initial solution unless the spec overrides it.
     pub anchor: Anchor,
-    /// Output timing.
-    pub emit: EmitMode,
-    /// Minimum left-side size of reported MBPs (`0` disables — Section 5).
-    pub theta_left: usize,
-    /// Minimum right-side size of reported MBPs (`0` disables — Section 5).
-    pub theta_right: usize,
-    /// Vertex relabeling applied before the run; solutions are mapped back
-    /// to the input ids, so the reported set is unchanged.
-    pub order: VertexOrder,
-    /// Wall-clock deadline checked at every DFS step (how the facade's
-    /// `time_budget` reaches a run whose deliveries are sparse or filtered).
-    /// `None` disables the check.
-    pub deadline: Option<Instant>,
-    /// Intersection kernel installed for the run ([`Kernel::Auto`] applies
-    /// the measured crossover heuristic; the rest force one kernel for A/B
-    /// comparisons — the CLI's `--kernel`).
-    pub kernel: Kernel,
 }
 
-impl TraversalConfig {
-    /// The full `iTraversal` configuration (left-anchored + right-shrinking
-    /// + exclusion strategy, `L2.0+R2.0` local enumeration).
-    pub fn itraversal(k: usize) -> Self {
-        TraversalConfig {
-            k,
-            enum_kind: EnumKind::L2R2,
-            left_anchored: true,
-            right_shrinking: true,
-            exclusion: true,
-            anchor: Anchor::Left,
-            emit: EmitMode::Immediate,
-            theta_left: 0,
-            theta_right: 0,
-            order: VertexOrder::Input,
-            deadline: None,
-            kernel: Kernel::Auto,
-        }
-    }
-
-    /// `iTraversal-ES`: the full version *without* the exclusion strategy.
-    pub fn itraversal_no_exclusion(k: usize) -> Self {
-        TraversalConfig { exclusion: false, ..Self::itraversal(k) }
-    }
-
-    /// `iTraversal-ES-RS`: left-anchored traversal only (no right-shrinking,
-    /// no exclusion strategy).
-    pub fn itraversal_left_anchored_only(k: usize) -> Self {
-        TraversalConfig { exclusion: false, right_shrinking: false, ..Self::itraversal(k) }
-    }
-
-    /// The conventional `bTraversal` framework (Algorithm 1).
-    pub fn btraversal(k: usize) -> Self {
-        TraversalConfig {
-            k,
-            enum_kind: EnumKind::L2R2,
-            left_anchored: false,
-            right_shrinking: false,
-            exclusion: false,
-            anchor: Anchor::Arbitrary,
-            emit: EmitMode::Immediate,
-            theta_left: 0,
-            theta_right: 0,
-            order: VertexOrder::Input,
-            deadline: None,
-            kernel: Kernel::Auto,
-        }
-    }
-
-    /// Selects the `EnumAlmostSat` implementation.
-    pub fn with_enum_kind(mut self, kind: EnumKind) -> Self {
-        self.enum_kind = kind;
-        self
-    }
-
-    /// Selects the anchor (initial solution).
-    pub fn with_anchor(mut self, anchor: Anchor) -> Self {
-        self.anchor = anchor;
-        self
-    }
-
-    /// Selects the emission mode.
-    pub fn with_emit(mut self, emit: EmitMode) -> Self {
-        self.emit = emit;
-        self
-    }
-
-    /// Sets the large-MBP size thresholds (`0` disables a side).
-    pub fn with_thresholds(mut self, theta_left: usize, theta_right: usize) -> Self {
-        self.theta_left = theta_left;
-        self.theta_right = theta_right;
-        self
-    }
-
-    /// Selects the vertex relabeling pass.
-    pub fn with_order(mut self, order: VertexOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Sets the wall-clock deadline (`None` disables).
-    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Selects the intersection kernel (default [`Kernel::Auto`]).
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
+/// The rules of a traversal-family algorithm.
+pub(crate) fn rules(algorithm: Algorithm) -> Rules {
+    let (left_anchored, right_shrinking, exclusion, anchor) = match algorithm {
+        Algorithm::ITraversal | Algorithm::Large => (true, true, true, Anchor::Left),
+        Algorithm::ITraversalNoExclusion => (true, true, false, Anchor::Left),
+        Algorithm::LeftAnchoredOnly => (true, false, false, Anchor::Left),
+        Algorithm::BTraversal => (false, false, false, Anchor::Arbitrary),
+        Algorithm::Asym | Algorithm::BruteForce => unreachable!("not traversal algorithms"),
+    };
+    Rules { left_anchored, right_shrinking, exclusion, anchor }
 }
 
 /// The sequential reverse-search engine behind the
-/// [`crate::api::Enumerator`] facade. Enumerates maximal k-biplexes of `g`
-/// under `config`, delivering them to `sink`, and returns the run
-/// statistics.
-pub(crate) fn traverse<S: SolutionSink + ?Sized>(
+/// [`crate::api::Enumerator`] facade. Enumerates the maximal k-biplexes of
+/// the graph the facade prepared under the validated `spec`, handing every
+/// reported solution to `emit`, and returns the run's counters. `deadline`
+/// and the `cancel` flag are checked at every DFS step (the flag also
+/// between local solutions), so a budgeted or cancelled run winds down
+/// even when no solution reaches `emit`.
+pub(crate) fn traverse(
     g: &BipartiteGraph,
-    config: &TraversalConfig,
-    sink: &mut S,
+    spec: &QuerySpec,
+    deadline: Option<Instant>,
+    cancel: &AtomicBool,
+    emit: &dyn Fn(&Biplex) -> Control,
 ) -> TraversalStats {
-    // A relabeling pass runs the engine on the permuted graph and maps
-    // solutions back to the input ids; the canonical solution set is a
-    // property of the graph, so it is unchanged.
-    if config.order != VertexOrder::Input {
-        let relab = Relabeling::compute(g, config.order);
-        let rg = relab.apply(g);
-        let cfg = TraversalConfig { order: VertexOrder::Input, ..config.clone() };
-        let mut map_sink = |b: &Biplex| sink.on_solution(&b.map_back(&relab));
-        return traverse(&rg, &cfg, &mut map_sink as &mut dyn SolutionSink);
-    }
-
-    // The right-anchored variant is the left-anchored variant on the
-    // transposed graph; solutions are flipped back on the way out.
-    if config.anchor == Anchor::Right {
-        let t = g.transpose();
-        let mut cfg = config.clone();
-        cfg.anchor = Anchor::Left;
-        std::mem::swap(&mut cfg.theta_left, &mut cfg.theta_right);
-        let mut flip_sink = |b: &Biplex| sink.on_solution(&b.clone().transpose());
-        // Coerce to a trait object so the recursive call does not create an
-        // unbounded chain of closure instantiations.
-        return traverse(&t, &cfg, &mut flip_sink as &mut dyn SolutionSink);
-    }
-
-    // Install the configured intersection kernel for the run; the guard
-    // restores the caller's choice so nested/sequential runs with different
-    // configs do not leak into each other.
-    let _kernel = set_thread_kernel(config.kernel);
-
+    let rules = rules(spec.algorithm);
     // Right-side candidates (bTraversal) run the step on the transpose.
-    let gt = if config.left_anchored { None } else { Some(g.transpose()) };
+    let gt = if rules.left_anchored { None } else { Some(g.transpose()) };
     let mut engine = Engine {
         g,
         step: ThreeStep {
             g,
             gt: gt.as_ref(),
-            k: config.k,
-            enum_kind: config.enum_kind,
-            right_shrinking: config.right_shrinking,
-            theta_right: config.theta_right,
-            cancel: None,
+            k: spec.k,
+            enum_kind: spec.enum_kind,
+            right_shrinking: rules.right_shrinking,
+            theta_right: spec.theta_right,
+            cancel,
         },
-        config,
+        rules,
+        spec,
+        deadline,
         store: HashStore::new(),
         stats: TraversalStats::default(),
-        sink,
+        emit,
         stop: false,
     };
-    let initial = match config.anchor {
-        Anchor::Left => initial_left_anchored(g, config.k),
-        Anchor::Arbitrary => initial_arbitrary(g, config.k),
-        Anchor::Right => unreachable!("handled above"),
+    let initial = match spec.anchor.unwrap_or(rules.anchor) {
+        Anchor::Left => initial_left_anchored(g, spec.k),
+        Anchor::Arbitrary => initial_arbitrary(g, spec.k),
+        Anchor::Right => unreachable!("the facade runs the right anchor on the transpose"),
     };
     engine.run(initial);
     engine.stats
-}
-
-/// Crate-internal test helpers shared by the unit-test modules of other
-/// files.
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::*;
-
-    /// All MBPs under the default `iTraversal`, sorted canonically.
-    pub(crate) fn enumerate_all(g: &BipartiteGraph, k: usize) -> Vec<Biplex> {
-        let mut sink = crate::sink::CollectSink::new();
-        traverse(g, &TraversalConfig::itraversal(k), &mut sink);
-        sink.into_sorted()
-    }
 }
 
 struct Frame {
@@ -327,22 +195,24 @@ struct Frame {
     depth: usize,
 }
 
-struct Engine<'a, S: SolutionSink + ?Sized> {
+struct Engine<'a> {
     g: &'a BipartiteGraph,
     /// The `iThreeStep` applied to every (solution, candidate) pair.
     step: ThreeStep<'a>,
-    config: &'a TraversalConfig,
+    rules: Rules,
+    spec: &'a QuerySpec,
+    deadline: Option<Instant>,
     store: HashStore,
     stats: TraversalStats,
-    sink: &'a mut S,
+    emit: &'a dyn Fn(&Biplex) -> Control,
     stop: bool,
 }
 
-impl<S: SolutionSink + ?Sized> Engine<'_, S> {
+impl Engine<'_> {
     fn run(&mut self, initial: Biplex) {
         self.store.insert(&initial);
         self.stats.solutions = 1;
-        if self.config.emit == EmitMode::Immediate {
+        if self.spec.emit_mode == EmitMode::Immediate {
             self.emit(&initial);
         }
         let mut stack: Vec<Frame> = Vec::new();
@@ -351,10 +221,10 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         }
 
         while !self.stop {
-            // Deadline boundary: a budgeted run winds down here even when
-            // no solution ever reaches the sink (e.g. thresholds filter
-            // everything out).
-            if self.config.deadline.is_some_and(|d| Instant::now() >= d) {
+            // Stop boundary: a budgeted or cancelled run winds down here
+            // even when no solution ever reaches `emit` (e.g. thresholds
+            // filter everything out).
+            if self.step.cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.stats.stopped_early = true;
                 break;
             }
@@ -374,7 +244,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
             // 2. Close out the candidate whose branch just completed.
             if let Some(done) = frame.current_candidate.take() {
                 if let Some(v) = done {
-                    if self.config.exclusion {
+                    if self.rules.exclusion {
                         if let Err(pos) = frame.exclusion.binary_search(&v) {
                             frame.exclusion.insert(pos, v);
                         }
@@ -404,7 +274,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
                 }
                 None => {
                     // Frame exhausted: post-order emission point.
-                    if self.config.emit == EmitMode::Alternating && frame.depth % 2 == 1 {
+                    if self.spec.emit_mode == EmitMode::Alternating && frame.depth % 2 == 1 {
                         self.emit(&frame.partial.to_biplex());
                     }
                 }
@@ -412,13 +282,13 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         }
     }
 
-    /// Reports a solution to the sink, applying the size filter.
+    /// Reports a solution, applying the size filter.
     fn emit(&mut self, solution: &Biplex) {
-        if solution.left.len() >= self.config.theta_left
-            && solution.right.len() >= self.config.theta_right
+        if solution.left.len() >= self.spec.theta_left
+            && solution.right.len() >= self.spec.theta_right
         {
             self.stats.reported += 1;
-            if self.sink.on_solution(solution) == Control::Stop {
+            if (self.emit)(solution) == Control::Stop {
                 self.stop = true;
                 self.stats.stopped_early = true;
             }
@@ -430,28 +300,30 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     /// recursion from this solution is pruned (the solution itself has
     /// already been reported).
     fn make_frame(&mut self, solution: Biplex, exclusion: Vec<u32>, depth: usize) -> Option<Frame> {
-        let cfg = self.config;
+        let (spec, rules) = (self.spec, self.rules);
+        let alternating = spec.emit_mode == EmitMode::Alternating;
         // Solution pruning: with right-shrinking traversal every descendant
         // has a right side no larger than this one.
-        if cfg.theta_right > 0 && cfg.right_shrinking && solution.right.len() < cfg.theta_right {
+        if spec.theta_right > 0 && rules.right_shrinking && solution.right.len() < spec.theta_right
+        {
             self.stats.pruned_size += 1;
-            if cfg.emit == EmitMode::Alternating {
+            if alternating {
                 self.emit(&solution);
             }
             return None;
         }
         // Left-side pruning via the exclusion set.
-        if cfg.theta_left > 0
-            && cfg.exclusion
-            && (self.g.num_left() as usize).saturating_sub(exclusion.len()) < cfg.theta_left
+        if spec.theta_left > 0
+            && rules.exclusion
+            && (self.g.num_left() as usize).saturating_sub(exclusion.len()) < spec.theta_left
         {
             self.stats.pruned_size += 1;
-            if cfg.emit == EmitMode::Alternating {
+            if alternating {
                 self.emit(&solution);
             }
             return None;
         }
-        if cfg.emit == EmitMode::Alternating && depth % 2 == 0 {
+        if alternating && depth % 2 == 0 {
             self.emit(&solution);
             if self.stop {
                 return None;
@@ -473,7 +345,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     fn next_candidate(&mut self, frame: &mut Frame) -> Option<VertexRef> {
         let num_left = self.g.num_left() as u64;
         let num_right = self.g.num_right() as u64;
-        let limit = if self.config.left_anchored { num_left } else { num_left + num_right };
+        let limit = if self.rules.left_anchored { num_left } else { num_left + num_right };
         while frame.next_candidate < limit {
             let pos = frame.next_candidate;
             frame.next_candidate += 1;
@@ -482,7 +354,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
                 if frame.partial.contains_left(v) {
                     continue;
                 }
-                if self.config.exclusion && frame.exclusion.binary_search(&v).is_ok() {
+                if self.rules.exclusion && frame.exclusion.binary_search(&v).is_ok() {
                     self.stats.pruned_exclusion += 1;
                     continue;
                 }
@@ -503,8 +375,7 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
     /// emitted (immediate mode) and queued for the DFS descent. Returns
     /// `false` when the step pruned the candidate outright.
     fn process_candidate(&mut self, frame: &mut Frame, cand: VertexRef) -> bool {
-        let Engine { step, config, store, stats, sink, stop, .. } = self;
-        let cfg: &TraversalConfig = config;
+        let Engine { step, spec, store, stats, emit, stop, .. } = self;
         let children = &mut frame.current_children;
         let outcome = step.expand(
             &frame.partial,
@@ -513,12 +384,12 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
             stats,
             |solution| store.insert(solution),
             |solution, stats| {
-                if cfg.emit == EmitMode::Immediate
-                    && solution.left.len() >= cfg.theta_left
-                    && solution.right.len() >= cfg.theta_right
+                if spec.emit_mode == EmitMode::Immediate
+                    && solution.left.len() >= spec.theta_left
+                    && solution.right.len() >= spec.theta_right
                 {
                     stats.reported += 1;
-                    if sink.on_solution(&solution) == Control::Stop {
+                    if emit(&solution) == Control::Stop {
                         stats.stopped_early = true;
                         return Control::Stop;
                     }
@@ -529,7 +400,10 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
         );
         match outcome {
             Expansion::Pruned => return false,
-            Expansion::Stopped => *stop = true,
+            Expansion::Stopped => {
+                *stop = true;
+                stats.stopped_early = true;
+            }
             Expansion::Done => {}
         }
         true
@@ -539,8 +413,11 @@ impl<S: SolutionSink + ?Sized> Engine<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{EngineStats, Enumerator};
     use crate::bruteforce::brute_force_mbps;
-    use crate::sink::{CollectSink, CountingSink, FirstN};
+    use crate::enum_almost_sat::EnumKind;
+    use crate::sink::{CollectSink, CountingSink};
+    use bigraph::order::VertexOrder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -557,19 +434,28 @@ mod tests {
         BipartiteGraph::from_edges(nl, nr, &edges).unwrap()
     }
 
-    fn run_sorted(g: &BipartiteGraph, cfg: &TraversalConfig) -> Vec<Biplex> {
-        let mut sink = CollectSink::new();
-        traverse(g, cfg, &mut sink);
-        sink.into_sorted()
+    fn run_sorted(e: Enumerator<'_>) -> Vec<Biplex> {
+        e.collect().unwrap()
     }
 
-    fn all_configs(k: usize) -> Vec<(&'static str, TraversalConfig)> {
+    /// The run's counters and the number of solutions the sink received.
+    fn run_stats(e: Enumerator<'_>) -> (TraversalStats, u64) {
+        let mut sink = CountingSink::new();
+        let report = e.run(&mut sink).unwrap();
+        let EngineStats::Sequential(stats) = report.stats else {
+            panic!("sequential runs report traversal stats");
+        };
+        (stats, sink.count)
+    }
+
+    fn all_configs(g: &BipartiteGraph, k: usize) -> Vec<(&'static str, Enumerator<'_>)> {
+        let e = || Enumerator::new(g).k(k);
         vec![
-            ("iTraversal", TraversalConfig::itraversal(k)),
-            ("iTraversal-ES", TraversalConfig::itraversal_no_exclusion(k)),
-            ("iTraversal-ES-RS", TraversalConfig::itraversal_left_anchored_only(k)),
-            ("bTraversal", TraversalConfig::btraversal(k)),
-            ("right-anchored", TraversalConfig::itraversal(k).with_anchor(Anchor::Right)),
+            ("iTraversal", e()),
+            ("iTraversal-ES", e().algorithm(Algorithm::ITraversalNoExclusion)),
+            ("iTraversal-ES-RS", e().algorithm(Algorithm::LeftAnchoredOnly)),
+            ("bTraversal", e().algorithm(Algorithm::BTraversal)),
+            ("right-anchored", e().anchor(Anchor::Right)),
         ]
     }
 
@@ -581,8 +467,8 @@ mod tests {
             let g = random_graph(nl, nr, 0.5, seed);
             for k in 0..=2usize {
                 let expected = brute_force_mbps(&g, k);
-                for (name, cfg) in all_configs(k) {
-                    let got = run_sorted(&g, &cfg);
+                for (name, e) in all_configs(&g, k) {
+                    let got = run_sorted(e);
                     assert_eq!(
                         got, expected,
                         "{name} differs from brute force (seed {seed}, k {k}, |L|={nl}, |R|={nr})"
@@ -599,8 +485,8 @@ mod tests {
                 let g = random_graph(5, 5, p, seed);
                 for k in 1..=2usize {
                     let expected = brute_force_mbps(&g, k);
-                    for (name, cfg) in all_configs(k) {
-                        let got = run_sorted(&g, &cfg);
+                    for (name, e) in all_configs(&g, k) {
+                        let got = run_sorted(e);
                         assert_eq!(got, expected, "{name} seed {seed} k {k} p {p}");
                     }
                 }
@@ -613,13 +499,12 @@ mod tests {
         for seed in 0..6u64 {
             let g = random_graph(6, 5, 0.5, seed);
             for k in 1..=2usize {
-                let expected = run_sorted(&g, &TraversalConfig::itraversal(k));
+                let expected = run_sorted(Enumerator::new(&g).k(k));
                 for order in [VertexOrder::Degree, VertexOrder::Degeneracy] {
-                    let cfg = TraversalConfig::itraversal(k).with_order(order);
-                    assert_eq!(run_sorted(&g, &cfg), expected, "seed {seed} k {k} order {order}");
-                    let cfg = TraversalConfig::btraversal(k).with_order(order);
+                    let e = Enumerator::new(&g).k(k).order(order);
+                    assert_eq!(run_sorted(e.clone()), expected, "seed {seed} k {k} order {order}");
                     assert_eq!(
-                        run_sorted(&g, &cfg),
+                        run_sorted(e.algorithm(Algorithm::BTraversal)),
                         expected,
                         "bTraversal seed {seed} k {k} order {order}"
                     );
@@ -632,31 +517,30 @@ mod tests {
     fn relabeling_composes_with_early_stop_and_thresholds() {
         let g = random_graph(7, 7, 0.5, 2);
         let k = 1;
-        let cfg = TraversalConfig::itraversal(k).with_order(VertexOrder::Degeneracy);
-        let mut sink = FirstN::new(3);
-        let stats = traverse(&g, &cfg, &mut sink);
-        assert_eq!(sink.len(), 3);
+        let e = Enumerator::new(&g).k(k).order(VertexOrder::Degeneracy);
+        let mut sink = CollectSink::new();
+        let report = e.clone().limit(3).run(&mut sink).unwrap();
+        assert_eq!(sink.solutions.len(), 3);
+        let EngineStats::Sequential(stats) = report.stats else { unreachable!() };
         assert!(stats.stopped_early);
         for b in &sink.solutions {
             assert!(crate::biplex::is_maximal_k_biplex(&g, &b.left, &b.right, k));
         }
 
-        let all = tests_support::enumerate_all(&g, k);
-        let mut expected: Vec<Biplex> =
-            all.into_iter().filter(|b| b.left.len() >= 2 && b.right.len() >= 2).collect();
-        expected.sort();
-        let cfg = cfg.with_thresholds(2, 2);
-        assert_eq!(run_sorted(&g, &cfg), expected);
+        let expected: Vec<Biplex> = run_sorted(Enumerator::new(&g).k(k))
+            .into_iter()
+            .filter(|b| b.left.len() >= 2 && b.right.len() >= 2)
+            .collect();
+        assert_eq!(run_sorted(e.thresholds(2, 2)), expected);
     }
 
     #[test]
     fn alternating_emission_reports_the_same_set() {
         for seed in 0..6u64 {
             let g = random_graph(5, 5, 0.5, seed);
-            let k = 1;
-            let immediate = run_sorted(&g, &TraversalConfig::itraversal(k));
-            let alternating =
-                run_sorted(&g, &TraversalConfig::itraversal(k).with_emit(EmitMode::Alternating));
+            let e = Enumerator::new(&g).k(1);
+            let immediate = run_sorted(e.clone());
+            let alternating = run_sorted(e.emit(EmitMode::Alternating));
             assert_eq!(immediate, alternating, "seed {seed}");
         }
     }
@@ -667,12 +551,10 @@ mod tests {
         let k = 1;
         let expected = brute_force_mbps(&g, k);
         for kind in EnumKind::ALL {
-            let cfg = TraversalConfig::itraversal(k).with_enum_kind(kind);
-            assert_eq!(run_sorted(&g, &cfg), expected, "kind {kind:?}");
-        }
-        for kind in EnumKind::ALL {
-            let cfg = TraversalConfig::btraversal(k).with_enum_kind(kind);
-            assert_eq!(run_sorted(&g, &cfg), expected, "bTraversal kind {kind:?}");
+            let e = Enumerator::new(&g).k(k).enum_kind(kind);
+            assert_eq!(run_sorted(e.clone()), expected, "kind {kind:?}");
+            let e = e.algorithm(Algorithm::BTraversal);
+            assert_eq!(run_sorted(e), expected, "bTraversal kind {kind:?}");
         }
     }
 
@@ -680,11 +562,12 @@ mod tests {
     fn first_n_stops_early() {
         let g = random_graph(7, 7, 0.5, 11);
         let k = 1;
-        let all = tests_support::enumerate_all(&g, k);
+        let all = run_sorted(Enumerator::new(&g).k(k));
         assert!(all.len() > 3, "fixture should have enough solutions");
-        let mut sink = FirstN::new(3);
-        let stats = traverse(&g, &TraversalConfig::itraversal(k), &mut sink);
-        assert_eq!(sink.len(), 3);
+        let mut sink = CollectSink::new();
+        let report = Enumerator::new(&g).k(k).limit(3).run(&mut sink).unwrap();
+        assert_eq!(sink.solutions.len(), 3);
+        let EngineStats::Sequential(stats) = report.stats else { unreachable!() };
         assert!(stats.stopped_early);
         assert!(stats.solutions >= 3);
         // Everything returned is a genuine MBP.
@@ -699,16 +582,14 @@ mod tests {
         // links than its ablations, which have no more than bTraversal.
         for seed in 0..8u64 {
             let g = random_graph(6, 6, 0.5, seed);
-            let k = 1;
-            let count = |cfg: &TraversalConfig| {
-                let mut sink = CountingSink::new();
-                let stats = traverse(&g, cfg, &mut sink);
-                (stats.links, sink.count)
+            let count = |algorithm: Algorithm| {
+                let (stats, count) = run_stats(Enumerator::new(&g).k(1).algorithm(algorithm));
+                (stats.links, count)
             };
-            let (full, n_full) = count(&TraversalConfig::itraversal(k));
-            let (no_es, n_no_es) = count(&TraversalConfig::itraversal_no_exclusion(k));
-            let (la_only, n_la) = count(&TraversalConfig::itraversal_left_anchored_only(k));
-            let (btrav, n_b) = count(&TraversalConfig::btraversal(k));
+            let (full, n_full) = count(Algorithm::ITraversal);
+            let (no_es, n_no_es) = count(Algorithm::ITraversalNoExclusion);
+            let (la_only, n_la) = count(Algorithm::LeftAnchoredOnly);
+            let (btrav, n_b) = count(Algorithm::BTraversal);
             assert_eq!(n_full, n_no_es);
             assert_eq!(n_full, n_la);
             assert_eq!(n_full, n_b);
@@ -721,10 +602,9 @@ mod tests {
     #[test]
     fn stats_are_consistent() {
         let g = random_graph(6, 6, 0.5, 5);
-        let mut sink = CountingSink::new();
-        let stats = traverse(&g, &TraversalConfig::itraversal(1), &mut sink);
-        assert_eq!(stats.solutions, sink.count);
-        assert_eq!(stats.reported, sink.count);
+        let (stats, count) = run_stats(Enumerator::new(&g).k(1));
+        assert_eq!(stats.solutions, count);
+        assert_eq!(stats.reported, count);
         assert_eq!(stats.links, stats.tree_links() + stats.duplicate_links);
         assert!(stats.local_solutions >= stats.links);
         assert!(!stats.stopped_early);
@@ -738,15 +618,15 @@ mod tests {
         let g = BipartiteGraph::from_edges(3, 3, &[]).unwrap();
         for k in 0..=2usize {
             let expected = brute_force_mbps(&g, k);
-            assert_eq!(run_sorted(&g, &TraversalConfig::itraversal(k)), expected, "k {k}");
+            assert_eq!(run_sorted(Enumerator::new(&g).k(k)), expected, "k {k}");
         }
         // Single-vertex sides.
         let g = BipartiteGraph::from_edges(1, 1, &[(0, 0)]).unwrap();
-        let got = run_sorted(&g, &TraversalConfig::itraversal(1));
+        let got = run_sorted(Enumerator::new(&g).k(1));
         assert_eq!(got, vec![Biplex::new(vec![0], vec![0])]);
         // Empty graph.
         let g = BipartiteGraph::from_edges(0, 0, &[]).unwrap();
-        let got = run_sorted(&g, &TraversalConfig::itraversal(1));
+        let got = run_sorted(Enumerator::new(&g).k(1));
         assert_eq!(got.len(), 1);
         assert!(got[0].is_empty());
     }
@@ -761,7 +641,7 @@ mod tests {
         }
         let g = BipartiteGraph::from_edges(4, 5, &edges).unwrap();
         for k in 0..=2usize {
-            let got = run_sorted(&g, &TraversalConfig::itraversal(k));
+            let got = run_sorted(Enumerator::new(&g).k(k));
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].left.len(), 4);
             assert_eq!(got[0].right.len(), 5);
@@ -773,13 +653,14 @@ mod tests {
         for seed in 0..10u64 {
             let g = random_graph(6, 6, 0.6, seed);
             let k = 1;
+            let all = run_sorted(Enumerator::new(&g).k(k));
             for (tl, tr) in [(2, 2), (3, 2), (2, 3), (3, 3)] {
-                let all = tests_support::enumerate_all(&g, k);
-                let mut expected: Vec<Biplex> =
-                    all.into_iter().filter(|b| b.left.len() >= tl && b.right.len() >= tr).collect();
-                expected.sort();
-                let cfg = TraversalConfig::itraversal(k).with_thresholds(tl, tr);
-                let got = run_sorted(&g, &cfg);
+                let expected: Vec<Biplex> = all
+                    .iter()
+                    .filter(|b| b.left.len() >= tl && b.right.len() >= tr)
+                    .cloned()
+                    .collect();
+                let got = run_sorted(Enumerator::new(&g).k(k).thresholds(tl, tr));
                 assert_eq!(got, expected, "seed {seed} θ=({tl},{tr})");
             }
         }

@@ -63,8 +63,6 @@ const SPEC_KEYS: &[&str] = &[
     "threads",
     "limit",
     "time_budget",
-    "stream_buffer",
-    "kernel",
 ];
 
 impl QuerySpec {
@@ -118,12 +116,6 @@ impl QuerySpec {
         }
         if let Some(budget) = self.time_budget {
             pairs.push(("time_budget", duration_json(budget)));
-        }
-        if self.stream_buffer != d.stream_buffer {
-            pairs.push(("stream_buffer", u(self.stream_buffer as u64)));
-        }
-        if self.kernel != d.kernel {
-            pairs.push(("kernel", s(self.kernel.to_string())));
         }
         obj(pairs)
     }
@@ -193,12 +185,6 @@ impl QuerySpec {
         match doc.get("time_budget") {
             None | Some(Json::Null) => {}
             Some(v) => spec.time_budget = Some(duration_from(v, "time_budget")?),
-        }
-        if let Some(v) = doc.get("stream_buffer") {
-            spec.stream_buffer = v.as_usize("stream_buffer")?;
-        }
-        if let Some(v) = doc.get("kernel") {
-            spec.kernel = parse_code(v, "kernel")?;
         }
         Ok(spec)
     }
@@ -518,8 +504,6 @@ mod tests {
             threads: 8,
             limit: Some(1000),
             time_budget: Some(Duration::new(3, 500_000_001)),
-            stream_buffer: 64,
-            kernel: bigraph::intersect::Kernel::Chunked,
         };
         let text = spec.to_json_string();
         assert_eq!(QuerySpec::from_json_str(&text).unwrap(), spec);
@@ -530,7 +514,6 @@ mod tests {
         assert!(QuerySpec::from_json_str("{\"kk\":1}").is_err());
         assert!(QuerySpec::from_json_str("{\"k\":\"two\"}").is_err());
         assert!(QuerySpec::from_json_str("{\"algorithm\":\"quantum\"}").is_err());
-        assert!(QuerySpec::from_json_str("{\"kernel\":\"simd\"}").is_err());
         assert!(QuerySpec::from_json_str("[1,2]").is_err());
         assert!(QuerySpec::from_json_str("{\"time_budget\":{\"nanos\":2000000000}}").is_err());
         assert!(QuerySpec::from_json_str("not json").is_err());
@@ -538,9 +521,9 @@ mod tests {
 
     #[test]
     fn retired_engine_codes_and_scheduler_keys_are_rejected() {
-        // The global-queue engine and the seen-set / steal-granularity
-        // knobs are gone: a document naming them is an error, never a
-        // silent fallback to the defaults.
+        // The global-queue engine, the seen-set / steal-granularity knobs,
+        // the kernel override and the stream buffer are gone: a document
+        // naming them is an error, never a silent fallback to the defaults.
         for doc in [
             r#"{"engine":"global"}"#,
             r#"{"engine":"global-queue"}"#,
@@ -548,6 +531,8 @@ mod tests {
             r#"{"seen_segments":0}"#,
             r#"{"steal_adaptive":false}"#,
             r#"{"steal_adaptive":true}"#,
+            r#"{"kernel":"merge"}"#,
+            r#"{"stream_buffer":8}"#,
         ] {
             assert!(QuerySpec::from_json_str(doc).is_err(), "{doc} must be rejected");
         }

@@ -359,8 +359,13 @@ fn retired_engine_codes_and_scheduler_keys_get_bad_request() {
     let g = random_graph(4, 4, 60, 2);
     let handle = start(ServeConfig::default(), &g);
     let mut raw = TcpStream::connect(handle.addr()).expect("connect");
-    for spec in [r#"{"engine":"global"}"#, r#"{"seen_segments":2}"#, r#"{"steal_adaptive":false}"#]
-    {
+    for spec in [
+        r#"{"engine":"global"}"#,
+        r#"{"seen_segments":2}"#,
+        r#"{"steal_adaptive":false}"#,
+        r#"{"kernel":"merge"}"#,
+        r#"{"stream_buffer":8}"#,
+    ] {
         let request = format!(r#"{{"type":"query","id":3,"tenant":"t","spec":{spec}}}"#);
         write_frame(&mut raw, request.as_bytes()).expect("send query");
         let payload =

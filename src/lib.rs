@@ -35,10 +35,9 @@ pub mod prelude {
     pub use kbiplex::{
         is_asym_biplex, is_k_biplex, is_maximal_k_biplex, Algorithm, Anchor, ApiError, Biplex,
         CollectSink, ConcurrentSeenSet, Control, CountingSink, DelayRecorder, DynamicConfig,
-        DynamicEnumerator, DynamicError, EmitMode, Engine, EngineStats, EnumKind, Enumerator,
-        FirstN, Json, JsonError, KPair, Kernel, LargeMbpParams, MaintainStats, ParallelConfig,
-        QuerySpec, RunReport, SolutionSink, SolutionStream, StopReason, TraversalConfig,
-        UpdateDiff, VertexOrder,
+        DynamicEnumerator, DynamicError, EmitMode, Engine, EngineStats, EnumKind, Enumerator, Json,
+        JsonError, KPair, MaintainStats, QuerySpec, RunReport, SolutionSink, SolutionStream,
+        StopReason, UpdateDiff, VertexOrder,
     };
 }
 

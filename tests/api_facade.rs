@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use mbpe::bigraph::gen::chung_lu::chung_lu_bipartite;
 use mbpe::kbiplex::asym::brute_force_asym_mbps;
-use mbpe::kbiplex::bruteforce::brute_force_mbps;
+use mbpe::kbiplex::bruteforce::{brute_force_large_mbps, brute_force_mbps};
 use mbpe::prelude::*;
 
 /// Canonically sorted facade output (the `collect` terminal).
@@ -63,36 +63,35 @@ fn parallel_engines_match_the_sequential_path() {
     }
 }
 
+/// The facade composes its three graph preparations — the (θ−k)-core
+/// reduction, the relabeling and the right-anchor transpose — and maps
+/// every solution back through all of them.
 #[test]
 fn large_pipeline_matches_the_filtered_full_enumeration_on_both_engines() {
     for seed in 0..3u64 {
         let g = chung_lu(seed + 10);
         let k = 1;
-        for (tl, tr) in [(2, 2), (3, 2)] {
-            let expected: Vec<Biplex> = facade(&Enumerator::new(&g).k(k))
-                .into_iter()
-                .filter(|b| b.left.len() >= tl && b.right.len() >= tr)
-                .collect();
+        for (tl, tr) in [(2, 2), (3, 2), (2, 3)] {
+            let mut expected = brute_force_large_mbps(&g, k, tl, tr);
+            expected.sort();
             for core in [true, false] {
-                let sequential = facade(
-                    &Enumerator::new(&g)
-                        .k(k)
-                        .algorithm(Algorithm::Large)
-                        .thresholds(tl, tr)
-                        .core_reduction(core),
-                );
-                assert_eq!(sequential, expected, "seed {seed} θ=({tl},{tr}) core {core}");
-
-                let parallel = facade(
-                    &Enumerator::new(&g)
-                        .k(k)
-                        .algorithm(Algorithm::Large)
-                        .thresholds(tl, tr)
-                        .core_reduction(core)
-                        .engine(Engine::WorkSteal)
-                        .threads(3),
-                );
-                assert_eq!(parallel, expected, "seed {seed} θ=({tl},{tr}) core {core} steal");
+                for order in ORDERS {
+                    let large = || {
+                        Enumerator::new(&g)
+                            .k(k)
+                            .algorithm(Algorithm::Large)
+                            .thresholds(tl, tr)
+                            .core_reduction(core)
+                            .order(order)
+                    };
+                    let what = format!("seed {seed} θ=({tl},{tr}) core {core} {order}");
+                    for anchor in [Anchor::Left, Anchor::Right] {
+                        let sequential = facade(&large().anchor(anchor));
+                        assert_eq!(sequential, expected, "{what} {anchor}-anchored");
+                    }
+                    let parallel = facade(&large().engine(Engine::WorkSteal).threads(3));
+                    assert_eq!(parallel, expected, "{what} steal");
+                }
             }
         }
     }
@@ -177,6 +176,36 @@ fn work_steal_cancellation_marks_the_run_stopped_early() {
         panic!("work-steal runs report parallel stats");
     };
     assert!(stats.stopped_early, "cooperative cancellation must reach the workers");
+}
+
+/// A sink that stops on its own ends a work-steal run with no limit within
+/// one expansion: the workers see the cancellation the gate raises.
+#[test]
+fn a_stopping_sink_stops_the_work_stealer() {
+    let g = chung_lu_bipartite(24, 24, 70, 2.2, 11);
+    let mut delivered = 0u64;
+    let mut sink = |_: &Biplex| {
+        delivered += 1;
+        if delivered == 3 {
+            Control::Stop
+        } else {
+            Control::Continue
+        }
+    };
+    let report = Enumerator::new(&g)
+        .k(1)
+        .engine(Engine::WorkSteal)
+        .threads(2)
+        .run(&mut sink)
+        .expect("valid facade configuration");
+    assert_eq!(delivered, 3);
+    assert_eq!(report.solutions, 3);
+    assert_eq!(report.stop, StopReason::SinkStopped);
+    let EngineStats::Parallel(stats) = &report.stats else {
+        panic!("work-steal runs report parallel stats");
+    };
+    assert!(stats.stopped_early);
+    assert!(stats.solutions < 1451, "the workers ran on: {} discovered", stats.solutions);
 }
 
 #[test]

@@ -46,8 +46,6 @@ fn signature_pins<'g>(_g: &'g bigraph::BipartiteGraph) {
     let _threads: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::threads;
     let _limit: fn(Enumerator<'g>, u64) -> Enumerator<'g> = Enumerator::limit;
     let _time_budget: fn(Enumerator<'g>, Duration) -> Enumerator<'g> = Enumerator::time_budget;
-    let _stream_buffer: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::stream_buffer;
-    let _kernel: fn(Enumerator<'g>, kbiplex::Kernel) -> Enumerator<'g> = Enumerator::kernel;
     let _validate: fn(&Enumerator<'g>) -> Result<(), ApiError> = Enumerator::validate;
     let _collect: fn(&Enumerator<'g>) -> Result<Vec<kbiplex::Biplex>, ApiError> =
         Enumerator::collect;
@@ -122,18 +120,6 @@ fn enums_are_exactly_the_snapshot() {
     // The retired global-queue codes stay rejected rather than aliased.
     for retired in ["global", "global-queue"] {
         assert!(retired.parse::<Engine>().is_err(), "{retired}");
-    }
-
-    for k in kbiplex::Kernel::ALL {
-        let name = match k {
-            kbiplex::Kernel::Auto => "auto",
-            kbiplex::Kernel::Merge => "merge",
-            kbiplex::Kernel::Gallop => "gallop",
-            kbiplex::Kernel::Chunked => "chunked",
-            kbiplex::Kernel::Bitset => "bitset",
-        };
-        assert_eq!(k.to_string(), name);
-        assert_eq!(name.parse::<kbiplex::Kernel>().unwrap(), k);
     }
 
     for s in [
@@ -220,8 +206,6 @@ fn query_spec_fields_are_the_snapshot() {
         threads,
         limit,
         time_budget,
-        stream_buffer,
-        kernel,
     } = QuerySpec::default();
     let _: usize = k;
     let _: Option<kbiplex::KPair> = k_pair;
@@ -236,8 +220,6 @@ fn query_spec_fields_are_the_snapshot() {
     let _: usize = threads;
     let _: Option<u64> = limit;
     let _: Option<Duration> = time_budget;
-    let _: usize = stream_buffer;
-    let _: kbiplex::Kernel = kernel;
 }
 
 /// Field pins for the report structs (removing or retyping a field breaks

@@ -1,11 +1,9 @@
 //! Property-based equivalence battery over the intersection kernels:
 //! scalar merge ≡ galloping ≡ branchless chunked ≡ bitset on arbitrary
 //! strictly-sorted inputs across every length ratio and density (including
-//! one or both sides empty), plus engine-level cross-validation that a
-//! forced `--kernel` override never changes the enumerated solution set.
+//! one or both sides empty).
 
-use bigraph::intersect::{dispatch_with, intersection_into, intersects, set_thread_kernel};
-use mbpe::prelude::*;
+use bigraph::intersect::{dispatch_with, intersection_into, intersects, Kernel};
 use proptest::prelude::*;
 
 /// Reference implementation: the obvious quadratic-free two-pointer walk,
@@ -82,20 +80,6 @@ proptest! {
         prop_assert_eq!(intersects(&a, &b), !expected.is_empty());
         prop_assert_eq!(intersects(&b, &a), !expected.is_empty());
     }
-
-    /// A thread-kernel override changes which code path `dispatch` takes,
-    /// never its answer.
-    #[test]
-    fn thread_override_never_changes_dispatch(
-        a in sorted_ids_strategy(),
-        b in sorted_ids_strategy(),
-    ) {
-        let expected = naive_len(&a, &b);
-        for kernel in Kernel::ALL {
-            let _guard = set_thread_kernel(kernel);
-            prop_assert_eq!(bigraph::intersect::dispatch(&a, &b), expected, "kernel {}", kernel);
-        }
-    }
 }
 
 /// Extreme length-ratio sweep the random strategy is unlikely to hit: a
@@ -116,52 +100,5 @@ fn extreme_ratio_grid() {
         assert_eq!(dispatch_with(kernel, &[], &[]), 0);
         assert_eq!(dispatch_with(kernel, &[], &long), 0);
         assert_eq!(dispatch_with(kernel, &long, &[]), 0);
-    }
-}
-
-/// Engine-level cross-validation: forcing any kernel through the public
-/// query surface (`QuerySpec.kernel` — the CLI's `--kernel`) reproduces the
-/// default solution set exactly, on every engine.
-#[test]
-fn kernel_override_never_changes_the_solution_set() {
-    let mut state = 0xd1b5_4a32_d192_ed03u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for trial in 0..4u32 {
-        let (nl, nr) = (8u32, 8u32);
-        let mut edges = Vec::new();
-        for l in 0..nl {
-            for r in 0..nr {
-                if next() % 100 < 55 {
-                    edges.push((l, r));
-                }
-            }
-        }
-        let g = BipartiteGraph::from_edges(nl, nr, &edges).unwrap();
-        for k in 1..=2usize {
-            let baseline = {
-                let mut v = Enumerator::new(&g).k(k).collect().expect("baseline run");
-                v.sort();
-                v
-            };
-            for engine in [Engine::Sequential, Engine::WorkSteal] {
-                for kernel in Kernel::ALL {
-                    let mut e = Enumerator::new(&g).k(k).engine(engine).kernel(kernel);
-                    if engine != Engine::Sequential {
-                        e = e.threads(2);
-                    }
-                    let mut v = e.collect().expect("kernel-forced run");
-                    v.sort();
-                    assert_eq!(
-                        v, baseline,
-                        "trial {trial} k {k} engine {engine:?} kernel {kernel} diverged"
-                    );
-                }
-            }
-        }
     }
 }

@@ -47,16 +47,6 @@ fn anchor_strategy() -> impl Strategy<Value = Anchor> {
     prop_oneof![Just(Anchor::Left), Just(Anchor::Right), Just(Anchor::Arbitrary)]
 }
 
-fn kernel_strategy() -> impl Strategy<Value = Kernel> {
-    prop_oneof![
-        Just(Kernel::Auto),
-        Just(Kernel::Merge),
-        Just(Kernel::Gallop),
-        Just(Kernel::Chunked),
-        Just(Kernel::Bitset),
-    ]
-}
-
 fn duration_strategy() -> impl Strategy<Value = Duration> {
     (0u64..10_000, 0u32..1_000_000_000).prop_map(|(secs, nanos)| Duration::new(secs, nanos))
 }
@@ -83,22 +73,11 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
         0usize..9,
         proptest::option::of(any::<u64>()),
         proptest::option::of(duration_strategy()),
-        1usize..2048,
-        kernel_strategy(),
     );
     (first, second).prop_map(
         |(
             (k, k_pair, algorithm, engine, order, enum_kind, emit_mode, anchor),
-            (
-                theta_left,
-                theta_right,
-                core_reduction,
-                threads,
-                limit,
-                time_budget,
-                stream_buffer,
-                kernel,
-            ),
+            (theta_left, theta_right, core_reduction, threads, limit, time_budget),
         )| QuerySpec {
             k,
             k_pair: k_pair.map(|(left, right)| KPair { left, right }),
@@ -114,8 +93,6 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
             threads,
             limit,
             time_budget,
-            stream_buffer,
-            kernel,
         },
     )
 }
@@ -160,9 +137,7 @@ proptest! {
             .enum_kind(spec.enum_kind)
             .emit(spec.emit_mode)
             .thresholds(spec.theta_left, spec.theta_right)
-            .threads(spec.threads)
-            .stream_buffer(spec.stream_buffer)
-            .kernel(spec.kernel);
+            .threads(spec.threads);
         if let Some(kp) = spec.k_pair {
             e = e.k_pair(kp);
         }
@@ -229,13 +204,11 @@ fn enum_codes_round_trip_through_their_display_form() {
         engine: Engine::WorkSteal,
         order: VertexOrder::Degeneracy,
         anchor: Some(Anchor::Arbitrary),
-        kernel: Kernel::Bitset,
         ..QuerySpec::default()
     };
     let text = spec.to_json_string();
     assert!(text.contains(r#""algorithm":"itraversal-es-rs""#), "{text}");
     assert!(text.contains(r#""engine":"steal""#), "{text}");
     assert!(text.contains(r#""order":"degeneracy""#), "{text}");
-    assert!(text.contains(r#""kernel":"bitset""#), "{text}");
     assert_eq!(QuerySpec::from_json_str(&text).unwrap(), spec);
 }

@@ -2,23 +2,20 @@
 //! winner per key under thread storms, no lost inserts across segment
 //! publications, and permutation-invariance of the final contents.
 //!
-//! Every scenario runs under three geometries: **fixed** (a directory
-//! already at its maximum segment count — growth impossible), **pinned**
-//! (growth disabled outright on a small directory, the retired
-//! fixed-capacity design's exact behaviour) and **segmented** (a
-//! one-segment start sized so the workload crosses several growth
-//! thresholds mid-run).
+//! Every scenario runs under two geometries: **fixed** (a directory
+//! already at its maximum segment count — growth impossible, chains absorb
+//! the load) and **segmented** (a one-segment start sized so the workload
+//! crosses several growth thresholds mid-run).
 
 use mbpe::kbiplex::parallel::seen::{ConcurrentSeenSet, MAX_SEGMENTS};
 use proptest::prelude::*;
 
 /// The geometries each scenario must survive. The tiny bucket counts keep
 /// the growable set small enough that a few thousand keys force repeated
-/// publications (and long chains in the non-growing sets).
-fn geometries() -> [(&'static str, ConcurrentSeenSet); 3] {
+/// publications (and long chains in the non-growing set).
+fn geometries() -> [(&'static str, ConcurrentSeenSet); 2] {
     [
         ("fixed", ConcurrentSeenSet::with_geometry(MAX_SEGMENTS, 16)),
-        ("pinned", ConcurrentSeenSet::with_geometry(1, 1024).pinned()),
         ("segmented", ConcurrentSeenSet::with_geometry(1, 64)),
     ]
 }

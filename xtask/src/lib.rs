@@ -22,7 +22,7 @@
 //! - **`kernel-dispatch`** — the raw intersection kernels
 //!   (`*_intersection_len`) are `bigraph`-internal; every other crate must
 //!   go through `intersect::dispatch` so the measured crossover heuristic
-//!   and the per-thread `--kernel` override stay authoritative.
+//!   stays authoritative.
 //!
 //! The scope-aware rules cover the blocking-concurrency half of the
 //! codebase (the serve scheduler's mutex+condvar core), built on a real
@@ -231,7 +231,7 @@ fn lint_lines(rel: &str, sf: &SourceFile, test_mask: &[bool]) -> Vec<Finding> {
                     rule: "kernel-dispatch",
                     message: format!(
                         "`{needle}` bypasses `intersect::dispatch`: call the dispatcher so \
-                         the crossover heuristic and `--kernel` override apply"
+                         the crossover heuristic applies"
                     ),
                 });
             }
