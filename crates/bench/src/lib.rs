@@ -364,39 +364,6 @@ impl Args {
     }
 }
 
-/// Shared harness of the seen-set contention benchmarks: the `bench_seen`
-/// binary (machine-readable `BENCH_seen.json`) and the `seen_set` criterion
-/// bench measure the same geometry under the same insert storm.
-pub mod seen_harness {
-    use kbiplex::parallel::seen::ConcurrentSeenSet;
-
-    /// Builds the set under test: the default graph-sized geometry,
-    /// starting at one segment and growing cooperatively.
-    pub fn build() -> ConcurrentSeenSet {
-        ConcurrentSeenSet::new(0)
-    }
-
-    /// All `threads` workers insert every key of `0..keys` (maximal
-    /// duplicate overlap — the dedup-heavy access pattern of the
-    /// enumeration engines), with staggered starting offsets so threads
-    /// collide on different keys at any instant instead of marching in
-    /// lock-step. Returns the final distinct-key count.
-    pub fn hammer(set: &ConcurrentSeenSet, keys: usize, threads: usize) -> u64 {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || {
-                    let offset = t * keys / threads.max(1);
-                    for i in 0..keys {
-                        let key = ((i + offset) % keys) as u32;
-                        set.insert(vec![key, key ^ 0x5bd1_e995, key.rotate_left(7)]);
-                    }
-                });
-            }
-        });
-        set.len()
-    }
-}
-
 /// Nearest-rank percentile of an ascending-sorted sample: the smallest
 /// element with at least `p`% of the sample at or below it, i.e. index
 /// `⌈p/100 · n⌉ − 1`. Unlike the rounded `p/100 · (n − 1)` index it

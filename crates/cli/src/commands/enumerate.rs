@@ -35,8 +35,10 @@ OPTIONS:
     --limit <N>         Stop after delivering exactly N solutions (all
                         engines — the parallel workers cancel
                         cooperatively)
-    --time-budget <S>   Stop at the first solution after S seconds
-                        (fractions allowed; not for imb/inflation)
+    --time-budget <S>   Stop once S seconds have passed (fractions
+                        allowed; not for imb/inflation). The engines check
+                        the deadline at every step, so a run ends within
+                        one expansion even when no solution arrives
     --theta-left <N>    Only report MBPs with at least N left vertices
     --theta-right <N>   Only report MBPs with at least N right vertices
     --threads <T>       Worker threads for --algo parallel, the

@@ -169,7 +169,8 @@ pub enum Engine {
     /// Single-threaded, in the calling thread (default).
     #[default]
     Sequential,
-    /// The work-stealing scheduler (per-worker deques, lock-free seen-set).
+    /// The work-stealing scheduler (per-worker deques, a seen-set of 64
+    /// locked hash-set shards).
     WorkSteal,
 }
 

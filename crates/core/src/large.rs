@@ -6,6 +6,7 @@
 //! [`Algorithm::Large`](crate::api::Algorithm::Large) through the facade on
 //! both engines and check it against the brute-force oracle.
 
+#[cfg(test)]
 mod tests {
     use crate::api::{Algorithm, Engine, Enumerator, ReducedGraph};
     use crate::bruteforce::brute_force_large_mbps;

@@ -14,8 +14,9 @@
 //! pops from the same end (depth-first, cache-warm), and steals from the old
 //! end of a random victim's deque when it runs dry — one item from a
 //! shallow victim, the oldest half of a deep one. De-duplication goes
-//! through a lock-free [`seen::ConcurrentSeenSet`] (atomic-swap bucket
-//! chains behind a segmented directory that grows under load).
+//! through a [`seen::ConcurrentSeenSet`] (64 mutex-guarded hash-set
+//! shards). The only atomics are the pending-work counter and the cancel
+//! flag.
 //!
 //! The engine runs the left-anchored + right-shrinking `iTraversal`
 //! configuration (those prunings' correctness arguments never reference the

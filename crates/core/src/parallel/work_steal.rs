@@ -20,9 +20,9 @@
 //! new work can appear. Idle workers spin briefly, then yield, then sleep
 //! in microsecond steps until work reappears or the counter hits zero.
 //!
-//! De-duplication goes through the lock-free [`ConcurrentSeenSet`], sized
-//! from the graph; every reported solution goes to the facade's emit
-//! closure from the worker that found it.
+//! De-duplication goes through the [`ConcurrentSeenSet`] (64 locked
+//! hash-set shards), pre-sized from the graph; every reported solution
+//! goes to the facade's emit closure from the worker that found it.
 
 use std::collections::VecDeque;
 

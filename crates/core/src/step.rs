@@ -15,7 +15,8 @@
 //! ([`crate::traversal`]) passes the full exclusion set ℰ(H) and claims in
 //! a [`HashStore`](crate::store::HashStore); the work-stealer
 //! ([`crate::parallel`]) passes the host-local slice of ℰ(H) and claims in
-//! a [`ConcurrentSeenSet`](crate::parallel::seen::ConcurrentSeenSet); the
+//! the shared, shard-locked
+//! [`ConcurrentSeenSet`](crate::parallel::seen::ConcurrentSeenSet); the
 //! ablations without the exclusion strategy pass an empty slice.
 
 use bigraph::intersect::intersects;

@@ -1,9 +1,11 @@
-//! Synchronisation facade for the lock-free core.
+//! Synchronisation facade for the parallel engine.
 //!
 //! Everything in [`crate::parallel`] reaches its atomics, locks and
 //! threads through this module instead of `std` directly (the
-//! `cargo xtask lint` pass enforces it for `parallel/`). The facade has two
-//! backends selected at compile time by the `kbiplex_model` cfg:
+//! `cargo xtask lint` pass enforces it for `parallel/`): the pending-work
+//! counter, the cancel flag, the deque and seen-set shard locks, and the
+//! worker threads. The facade has two backends selected at compile time by
+//! the `kbiplex_model` cfg:
 //!
 //! * **Production** (default): direct re-exports of the `std` types. No
 //!   wrapper types, no indirection — binaries are byte-for-byte identical
@@ -18,7 +20,7 @@
 //! # Ordering mutations
 //!
 //! The `order!` macro (crate-internal) names a memory ordering *site*:
-//! `order!(SeqCst, "seen-drain-stripe")`. In production it expands to the
+//! `order!(SeqCst, "steal-pending")`. In production it expands to the
 //! literal ordering. Under the model backend it consults
 //! `modelsim::mutation_active` so a model test can *downgrade* one site to
 //! `Relaxed` at runtime and prove the checker catches the resulting bug —
@@ -35,18 +37,18 @@ compile_error!(
 );
 
 #[cfg(not(kbiplex_model))]
-pub use std::sync::{Mutex, MutexGuard, OnceLock};
+pub use std::sync::{Mutex, MutexGuard};
 
 #[cfg(kbiplex_model)]
-pub use modelsim::{Mutex, MutexGuard, OnceLock};
+pub use modelsim::{Mutex, MutexGuard};
 
 /// Atomic types and memory orderings (std or modelsim, by backend).
 pub mod atomic {
     #[cfg(not(kbiplex_model))]
-    pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[cfg(kbiplex_model)]
-    pub use modelsim::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    pub use modelsim::atomic::{AtomicBool, AtomicUsize, Ordering};
 }
 
 /// Thread spawning and scheduling hints (std or modelsim, by backend).
@@ -56,11 +58,6 @@ pub mod thread {
 
     #[cfg(kbiplex_model)]
     pub use modelsim::thread::{scope, sleep, yield_now, Scope, ScopedJoinHandle};
-
-    /// Model-thread index of the calling thread; used for counter striping
-    /// so stripe choice is deterministic inside model executions.
-    #[cfg(kbiplex_model)]
-    pub use modelsim::thread::current_index;
 }
 
 /// Spin-wait hint (std or modelsim, by backend).

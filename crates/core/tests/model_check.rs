@@ -1,4 +1,4 @@
-//! Deterministic model-checking of the lock-free core's concurrency
+//! Deterministic model-checking of the parallel engine's concurrency
 //! protocols, driven by the vendored [`modelsim`] runtime.
 //!
 //! Compiled only under the model backend of [`kbiplex::sync`]:
@@ -10,12 +10,10 @@
 //! Each test hands a protocol closure to [`modelsim::check`], which runs it
 //! thousands of times under bounded-exhaustive (preemption-bounded DFS) and
 //! randomized schedule exploration with a weak-memory visibility
-//! simulation. The positive tests assert the protocol invariants hold on
-//! every explored schedule *and* that coverage met the floor; the mutation
-//! tests downgrade one named memory-ordering site to `Relaxed` (through the
-//! `order!` registry — no rebuild) and assert the checker refutes the
-//! weakened protocol, proving the harness would catch an accidental
-//! downgrade of the real code.
+//! simulation, and asserts the protocol invariants hold on every explored
+//! schedule *and* that coverage met the floor: one winner per key in the
+//! seen-set's shard locks, termination through the work-stealer's
+//! pending-work counter, and exact delivery under cancellation.
 
 #![cfg(all(kbiplex_model, feature = "model"))]
 
@@ -41,10 +39,10 @@ fn assert_coverage(report: &Report, what: &str) {
 // Protocol 1: one-winner insert on a hot key
 // ---------------------------------------------------------------------------
 
-/// Three threads race to insert the same key; the chain-tail CAS protocol
-/// must hand exactly one of them the win, on every schedule.
+/// Three threads race to insert the same key; the key's shard lock must
+/// hand exactly one of them the win, on every schedule.
 fn hot_key_protocol() {
-    let set = ConcurrentSeenSet::with_geometry(1, 4);
+    let set = ConcurrentSeenSet::new(0);
     let wins = thread::scope(|s| {
         let h1 = s.spawn(|| set.insert(vec![7]) as usize);
         let h2 = s.spawn(|| set.insert(vec![7]) as usize);
@@ -65,71 +63,7 @@ fn seen_one_winner_on_hot_key() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 2: segment doubling with the striped in-flight drain
-// ---------------------------------------------------------------------------
-
-/// Two threads race on one key (whose bucket *moves* between eras: its hash
-/// is odd, so the one-bucket era maps it to bucket 0 and the two-bucket era
-/// to bucket 1) while the root thread drives a publication by inserting two
-/// filler keys past the load factor. The drain protocol must guarantee no
-/// insert straddles the doubling: the racing key is claimed exactly once
-/// and every key survives into the new era.
-fn growth_protocol() {
-    let set = ConcurrentSeenSet::with_geometry(1, 1);
-    let wins = thread::scope(|s| {
-        let h1 = s.spawn(|| set.insert(vec![2]) as usize);
-        let h2 = s.spawn(|| set.insert(vec![2]) as usize);
-        set.insert(vec![1]);
-        set.insert(vec![3]); // len 2 > capacity 1: triggers a doubling
-        h1.join().expect("inserter 1") + h2.join().expect("inserter 2")
-    });
-    assert_eq!(wins, 1, "the era-straddling key is claimed exactly once");
-    assert_eq!(set.len(), 3);
-    for key in [vec![1], vec![2], vec![3]] {
-        assert!(!set.insert(key.clone()), "key {key:?} lost across the doubling");
-    }
-}
-
-#[test]
-fn seen_growth_drain_never_straddles_eras() {
-    // The growth protocol's deeper schedules repeat more often under the
-    // randomized phase (PCT runs favour long uninterrupted stretches), so
-    // it needs a little extra budget to clear the distinct-schedule floor.
-    let config = Config { max_executions: 15_000, ..Config::default() };
-    let report = check(&config, growth_protocol).unwrap_or_else(|failure| {
-        panic!("growth protocol refuted: {failure}");
-    });
-    assert_coverage(&report, "growth-drain");
-}
-
-/// Downgrading any one of the three striped in-flight counter orderings to
-/// `Relaxed` breaks the Dekker-style handshake between inserters and the
-/// growth drain (a counter update the drain cannot observe lets the
-/// publication overtake an in-flight insert). The checker must refute every
-/// such mutant — this is the regression test for the checker itself.
-#[test]
-fn growth_protocol_mutants_are_caught() {
-    for site in ["seen-enter-stripe", "seen-exit-stripe", "seen-drain-stripe"] {
-        // Skip the DFS phase: the refuting schedules need one thread to run
-        // far ahead of a preempted inserter, which lies beyond the DFS
-        // preemption bound — the randomized (uniform + PCT) phase finds
-        // them within ~1k executions.
-        let config = Config { dfs_executions: 0, max_executions: 6_000, ..Config::default() }
-            .with_mutation(site);
-        let failure = check(&config, growth_protocol).err().unwrap_or_else(|| {
-            panic!("ordering mutant {site} survived the model checker");
-        });
-        eprintln!("mutant {site}: refuted at execution {}", failure.execution);
-        assert!(
-            failure.message.contains("claimed exactly once")
-                || failure.message.contains("lost across"),
-            "mutant {site} failed for an unexpected reason: {failure}"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Protocol 3: engine termination (pending counter)
+// Protocol 2: engine termination (pending counter)
 // ---------------------------------------------------------------------------
 
 /// The reference answer, computed once by the sequential engine.
@@ -169,7 +103,7 @@ fn work_steal_engine_terminates_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol 4: cancellation delivery through the facade gate
+// Protocol 3: cancellation delivery through the facade gate
 // ---------------------------------------------------------------------------
 
 /// A limited run through the full `Enumerator` facade: the gate must

@@ -12,9 +12,10 @@
 //! ## Concurrency model
 //!
 //! Deliberately boring: every shared structure is a `Mutex` (plus one
-//! `Condvar` for the worker pool). No atomics, no lock-free structures —
-//! the lock-free core lives in `kbiplex::parallel` where it is
-//! model-checked; the service layer optimizes for auditability.
+//! `Condvar` for the worker pool). No atomics — the atomic protocols (the
+//! work-stealer's pending counter and cancel flag) live in
+//! `kbiplex::parallel` where they are model-checked; the service layer
+//! optimizes for auditability.
 //!
 //! * one *accept* thread turning connections into *connection* threads,
 //!   and joining the connection threads that have finished;

@@ -1,26 +1,22 @@
-//! Concurrency battery for the segmented, growable seen-set: exactly-one
-//! winner per key under thread storms, no lost inserts across segment
-//! publications, and permutation-invariance of the final contents.
+//! Concurrency battery for the seen-set: exactly-one winner per key under
+//! thread storms, no lost inserts while shards rehash, and
+//! permutation-invariance of the final contents.
 //!
-//! Every scenario runs under two geometries: **fixed** (a directory
-//! already at its maximum segment count — growth impossible, chains absorb
-//! the load) and **segmented** (a one-segment start sized so the workload
-//! crosses several growth thresholds mid-run).
+//! Every scenario runs on two sets: **sized** (`ConcurrentSeenSet::new`
+//! with the scenario's distinct-key count, as the work-stealer pre-sizes
+//! it) and **undersized** (`new(0)`, so every shard rehashes several times
+//! in the middle of the storm).
 
-use mbpe::kbiplex::parallel::seen::{ConcurrentSeenSet, MAX_SEGMENTS};
+use mbpe::kbiplex::parallel::seen::ConcurrentSeenSet;
 use proptest::prelude::*;
 
-/// The geometries each scenario must survive. The tiny bucket counts keep
-/// the growable set small enough that a few thousand keys force repeated
-/// publications (and long chains in the non-growing set).
-fn geometries() -> [(&'static str, ConcurrentSeenSet); 2] {
-    [
-        ("fixed", ConcurrentSeenSet::with_geometry(MAX_SEGMENTS, 16)),
-        ("segmented", ConcurrentSeenSet::with_geometry(1, 64)),
-    ]
+/// The sets each scenario must survive, for a workload of `expected`
+/// distinct keys.
+fn sets(expected: usize) -> [(&'static str, ConcurrentSeenSet); 2] {
+    [("sized", ConcurrentSeenSet::new(expected)), ("undersized", ConcurrentSeenSet::new(0))]
 }
 
-/// Distinct key for index `i` (multi-word, so chain walks compare vectors).
+/// Distinct key for index `i` (multi-word, like a canonical solution key).
 fn key(i: u32) -> Vec<u32> {
     vec![i, i.wrapping_mul(0x9e37_79b9), !i]
 }
@@ -43,8 +39,7 @@ fn permutation(n: u32, mut seed: u64) -> Vec<u32> {
 fn thread_storm_claims_every_key_exactly_once() {
     let threads = 8;
     let keys = 4_000u32;
-    for (label, set) in geometries() {
-        let start_segments = set.segments();
+    for (label, set) in sets(keys as usize) {
         let claimed: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -69,54 +64,34 @@ fn thread_storm_claims_every_key_exactly_once() {
         let mut expected: Vec<Vec<u32>> = (0..keys).map(key).collect();
         expected.sort();
         assert_eq!(got, expected, "{label}: no insert lost, none duplicated");
-        if label == "segmented" {
-            assert!(
-                set.segments() > start_segments,
-                "the storm must cross the growth threshold (still {start_segments} segments)"
-            );
-        } else {
-            assert_eq!(set.segments(), start_segments, "fixed geometry cannot grow");
-        }
     }
 }
 
 #[test]
 fn len_is_stable_across_the_growth_threshold() {
     // Single-threaded determinism: len must tick up exactly on wins and
-    // re-inserting everything must change nothing, no matter how many
-    // publications happen along the way.
-    for (label, set) in geometries() {
+    // re-inserting everything must change nothing, however often the
+    // shards rehash along the way.
+    for (label, set) in sets(3_000) {
         assert!(set.is_empty(), "{label}");
-        let mut growth_events = 0;
-        let mut segments = set.segments();
         for i in 0..3_000u32 {
             assert!(set.insert(key(i)), "{label}: first insert of {i} wins");
             assert!(!set.insert(key(i)), "{label}: immediate duplicate of {i} loses");
             assert_eq!(set.len(), (i + 1) as u64, "{label}: len ticks exactly on wins");
-            if set.segments() != segments {
-                segments = set.segments();
-                growth_events += 1;
-            }
         }
         for &i in &permutation(3_000, 7) {
-            assert!(!set.insert(key(i)), "{label}: key {i} survives all publications");
+            assert!(!set.insert(key(i)), "{label}: key {i} survives every rehash");
         }
         assert_eq!(set.len(), 3_000, "{label}");
-        if label == "segmented" {
-            assert!(growth_events >= 3, "tiny segments must publish repeatedly");
-        } else {
-            assert_eq!(growth_events, 0, "fixed geometry cannot grow");
-        }
     }
 }
 
 #[test]
 fn concurrent_duplicates_of_one_hot_key_have_one_winner() {
     // All threads fight over the same tiny key set while a filler range
-    // forces growth underneath — the worst case for an insert straddling a
-    // publication.
+    // makes the shards rehash underneath the fight.
     let threads = 8;
-    for (label, set) in geometries() {
+    for (label, set) in sets(50 + threads as usize * 500) {
         let winners: u64 = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
@@ -127,8 +102,9 @@ fn concurrent_duplicates_of_one_hot_key_have_one_winner() {
                             if set.insert(vec![round % 50]) {
                                 wins += 1;
                             }
-                            // Filler keys distinct per thread drive len
-                            // over the growth threshold mid-fight.
+                            // Filler keys distinct per thread push the
+                            // undersized shards past their capacity
+                            // mid-fight.
                             set.insert(key(10_000 + t * 1_000 + round));
                         }
                         wins
@@ -147,13 +123,12 @@ proptest! {
 
     /// Interleaved insert sequences are permutation-invariant: the same
     /// multiset of keys produces the same final key set, the same count
-    /// and one win per distinct key, regardless of insertion order,
-    /// initial segment count, or where the growth points fall.
+    /// and one win per distinct key, regardless of insertion order, of
+    /// pre-sizing, or of where the shards rehash.
     #[test]
     fn contents_are_permutation_invariant(
         raw in proptest::collection::vec((0u32..400, 0u32..4), 1..250),
         seed in any::<u64>(),
-        initial_segments in 1usize..5,
     ) {
         let keys: Vec<Vec<u32>> = raw.iter().map(|&(a, b)| vec![a, b]).collect();
         let mut shuffled = keys.clone();
@@ -162,10 +137,10 @@ proptest! {
             order.iter().map(|&i| shuffled[i as usize].clone()).collect();
         shuffled = reordered;
 
-        // Tiny 8-bucket segments: 250 inserts cross several growth points,
-        // and different orders/initial sizes move those points around.
-        let forward = ConcurrentSeenSet::with_geometry(1, 8);
-        let permuted = ConcurrentSeenSet::with_geometry(initial_segments, 8);
+        // An undersized set rehashes as the forward order fills it; the
+        // permuted order goes into a set sized for every insert.
+        let forward = ConcurrentSeenSet::new(0);
+        let permuted = ConcurrentSeenSet::new(keys.len());
         let mut forward_wins = 0u64;
         for k in &keys {
             if forward.insert(k.clone()) {

@@ -100,10 +100,9 @@ pub struct LintRun {
 /// Files allowed to mention `Relaxed` in code: each has per-site
 /// `// ordering:` arguments recorded in DESIGN.md.
 const RELAXED_ALLOWLIST: &[&str] = &[
-    "crates/core/src/sync.rs",          // the order! macro's mutation arm
-    "crates/core/src/parallel/mod.rs",  // cancel-flag polls
-    "crates/core/src/parallel/seen.rs", // stripe hint + len statistic
-    "crates/core/src/api.rs",           // cancel/undelivered advisory flags
+    "crates/core/src/sync.rs",         // the order! macro's mutation arm
+    "crates/core/src/parallel/mod.rs", // cancel-flag polls
+    "crates/core/src/api.rs",          // cancel/undelivered advisory flags
 ];
 
 /// Crates whose library code must be panic-free (`no-unwrap` rule).

@@ -514,9 +514,9 @@ mod tests {
 
     #[test]
     fn str_value_reads_plain_literals() {
-        let sf = SourceFile::parse("order!(SeqCst, \"seen-exit-stripe\")\n");
+        let sf = SourceFile::parse("order!(SeqCst, \"steal-pending\")\n");
         let tag = sf.tokens.iter().find_map(Token::str_value);
-        assert_eq!(tag, Some("seen-exit-stripe"));
+        assert_eq!(tag, Some("steal-pending"));
     }
 
     #[test]

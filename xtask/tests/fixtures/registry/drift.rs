@@ -5,7 +5,7 @@
 
 pub fn publish(flag: &AtomicBool, count: &AtomicUsize, n: usize) {
     // ordering: SeqCst — documented site, must not be reported.
-    count.store(n, order!(SeqCst, "seen-exit-stripe"));
+    count.store(n, order!(SeqCst, "steal-pending"));
     // ordering: SeqCst — phantom site, must be reported as drift.
     flag.store(true, order!(SeqCst, "phantom-site"));
 }

@@ -145,7 +145,7 @@ fn registry_drift_is_reported_in_both_directions() {
     let rel = "crates/core/src/parallel/drift.rs";
     let sites = registry::collect_order_sites(rel, &SourceFile::parse(&code));
     let tags: Vec<&str> = sites.iter().map(|s| s.tag.as_str()).collect();
-    assert_eq!(tags, ["seen-exit-stripe", "phantom-site"]);
+    assert_eq!(tags, ["steal-pending", "phantom-site"]);
 
     let findings = registry::check_ordering_registry("design.md", &design, &sites);
     assert_eq!(findings.len(), 2, "findings: {findings:?}");
@@ -156,7 +156,7 @@ fn registry_drift_is_reported_in_both_directions() {
     assert_eq!(ghost.path, "design.md");
     assert_eq!(ghost.line, 12);
     assert!(
-        !findings.iter().any(|f| f.message.contains("seen-exit-stripe")),
+        !findings.iter().any(|f| f.message.contains("steal-pending")),
         "matched tag reported as drift: {findings:?}"
     );
     assert!(
