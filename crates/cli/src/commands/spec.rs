@@ -174,6 +174,11 @@ mod tests {
             r#"{"steal_adaptive":false}"#,
             r#"{"kernel":"merge"}"#,
             r#"{"stream_buffer":8}"#,
+            r#"{"enum_kind":"l1r2"}"#,
+            r#"{"core_reduction":false}"#,
+            r#"{"anchor":"arbitrary"}"#,
+            r#"{"algorithm":"brute-force"}"#,
+            r#"{"algorithm":"oracle"}"#,
         ] {
             assert!(spec_from_args(&args(&["--spec", doc], &[])).is_err(), "{doc}");
         }

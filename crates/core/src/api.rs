@@ -69,6 +69,14 @@
 //! then for [`Anchor::Right`] the transpose (Section 6.2) — and either
 //! engine runs on that graph, handing every solution to one emit closure
 //! that maps it back to input ids and offers it to the stopping rules.
+//!
+//! What the paper fixes is not a knob: every engine runs `EnumAlmostSat`
+//! as L2.0+R2.0 (Algorithm 3), the left-anchored algorithms start from
+//! `H0 = (L0, R)` and bTraversal from an arbitrary maximal k-biplex, and
+//! [`Algorithm::Large`] always enumerates the (θ−k)-core. The brute-force
+//! oracle is no algorithm of the facade: tests call
+//! [`brute_force_mbps`](crate::bruteforce::brute_force_mbps) directly, so it
+//! shares no code path with the engines it checks.
 
 use std::fmt;
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -82,8 +90,6 @@ use bigraph::BipartiteGraph;
 
 use crate::asym::{run_asym, AsymStats, KPair};
 use crate::biplex::Biplex;
-use crate::bruteforce::brute_force_mbps;
-use crate::enum_almost_sat::EnumKind;
 use crate::parallel::{par_run, ParRuntime, ParallelStats};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
@@ -110,14 +116,12 @@ pub enum Algorithm {
     LeftAnchoredOnly,
     /// The conventional `bTraversal` reverse-search framework (Algorithm 1).
     BTraversal,
-    /// The large-MBP pipeline of Section 5: (θ−k)-core reduction (see
-    /// [`Enumerator::core_reduction`]) plus the size-pruned `iTraversal`
-    /// under the [`Enumerator::thresholds`].
+    /// The large-MBP pipeline of Section 5: the (θ_R − k, θ_L − k)-core
+    /// reduction plus the size-pruned `iTraversal` under the
+    /// [`Enumerator::thresholds`].
     Large,
     /// Asymmetric per-side budgets (set them with [`Enumerator::k_pair`]).
     Asym,
-    /// The exponential brute-force oracle (tiny graphs only; cross-checks).
-    BruteForce,
 }
 
 impl Algorithm {
@@ -137,7 +141,6 @@ impl fmt::Display for Algorithm {
             Algorithm::BTraversal => "btraversal",
             Algorithm::Large => "large",
             Algorithm::Asym => "asym",
-            Algorithm::BruteForce => "brute-force",
         };
         f.write_str(name)
     }
@@ -154,10 +157,9 @@ impl std::str::FromStr for Algorithm {
             "btraversal" => Ok(Algorithm::BTraversal),
             "large" => Ok(Algorithm::Large),
             "asym" => Ok(Algorithm::Asym),
-            "brute-force" | "oracle" => Ok(Algorithm::BruteForce),
             other => Err(format!(
                 "unknown algorithm {other:?} (expected itraversal, itraversal-es, \
-                 itraversal-es-rs, btraversal, large, asym or brute-force)"
+                 itraversal-es-rs, btraversal, large or asym)"
             )),
         }
     }
@@ -252,8 +254,6 @@ pub enum EngineStats {
     Parallel(ParallelStats),
     /// An asymmetric enumeration run.
     Asym(AsymStats),
-    /// The brute-force oracle (no counters beyond the report itself).
-    Oracle,
 }
 
 /// Size of the (θ−k)-core-reduced graph an [`Algorithm::Large`] run actually
@@ -367,19 +367,15 @@ pub struct QuerySpec {
     pub engine: Engine,
     /// Vertex relabeling pass (default [`VertexOrder::Input`]).
     pub order: VertexOrder,
-    /// `EnumAlmostSat` implementation (default [`EnumKind::L2R2`]).
-    pub enum_kind: EnumKind,
     /// Emission mode of the sequential engine (default
     /// [`EmitMode::Immediate`]).
     pub emit_mode: EmitMode,
-    /// Initial-solution override of the sequential engine.
+    /// Anchor side of the sequential engine (unset = [`Anchor::Left`]).
     pub anchor: Option<Anchor>,
     /// Only report MBPs with `|L| ≥ theta_left` (0 disables).
     pub theta_left: usize,
     /// Only report MBPs with `|R| ≥ theta_right` (0 disables).
     pub theta_right: usize,
-    /// (θ−k)-core reduction toggle of [`Algorithm::Large`].
-    pub core_reduction: Option<bool>,
     /// Worker threads of the parallel engine (0 = auto).
     pub threads: usize,
     /// Stop after delivering exactly this many solutions.
@@ -396,12 +392,10 @@ impl Default for QuerySpec {
             algorithm: Algorithm::ITraversal,
             engine: Engine::Sequential,
             order: VertexOrder::Input,
-            enum_kind: EnumKind::L2R2,
             emit_mode: EmitMode::Immediate,
             anchor: None,
             theta_left: 0,
             theta_right: 0,
-            core_reduction: None,
             threads: 0,
             limit: None,
             time_budget: None,
@@ -472,12 +466,6 @@ impl<'g> Enumerator<'g> {
         self
     }
 
-    /// Selects the `EnumAlmostSat` implementation (default `L2.0+R2.0`).
-    pub fn enum_kind(mut self, kind: EnumKind) -> Self {
-        self.spec.enum_kind = kind;
-        self
-    }
-
     /// Selects the emission mode of the sequential traversal engine
     /// (default [`EmitMode::Immediate`]).
     pub fn emit(mut self, emit: EmitMode) -> Self {
@@ -485,9 +473,10 @@ impl<'g> Enumerator<'g> {
         self
     }
 
-    /// Overrides the designated initial solution of the sequential
-    /// traversal engine (e.g. [`Anchor::Right`] for the right-anchored
-    /// variant of Section 6.2). Defaults to the algorithm's own anchor.
+    /// Selects the anchor side of the sequential traversal engine:
+    /// [`Anchor::Right`] runs the right-anchored variant of Section 6.2 as
+    /// the left-anchored traversal on the transpose. Defaults to
+    /// [`Anchor::Left`], the input's own orientation.
     pub fn anchor(mut self, anchor: Anchor) -> Self {
         self.spec.anchor = Some(anchor);
         self
@@ -499,13 +488,6 @@ impl<'g> Enumerator<'g> {
     pub fn thresholds(mut self, theta_left: usize, theta_right: usize) -> Self {
         self.spec.theta_left = theta_left;
         self.spec.theta_right = theta_right;
-        self
-    }
-
-    /// Toggles the (θ−k)-core reduction of [`Algorithm::Large`] (default
-    /// on).
-    pub fn core_reduction(mut self, enabled: bool) -> Self {
-        self.spec.core_reduction = Some(enabled);
         self
     }
 
@@ -529,8 +511,8 @@ impl<'g> Enumerator<'g> {
     /// sequential engine, and at the parallel workers' steal/expand
     /// boundaries — so a budgeted run stops within one expansion even when
     /// the thresholds filter out every solution. Only applies to the
-    /// traversal-family algorithms' engines; the asym and brute-force
-    /// oracles check the budget at deliveries only.
+    /// traversal-family algorithms' engines; the asym engine checks the
+    /// budget at deliveries only.
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.spec.time_budget = Some(budget);
         self
@@ -551,9 +533,7 @@ impl<'g> Enumerator<'g> {
                 s.algorithm
             )));
         }
-        if s.order != VertexOrder::Input
-            && matches!(s.algorithm, Algorithm::Asym | Algorithm::BruteForce)
-        {
+        if s.order != VertexOrder::Input && s.algorithm == Algorithm::Asym {
             return Err(ApiError::Unsupported(format!(
                 "vertex relabeling is not supported by algorithm {}",
                 s.algorithm
@@ -561,10 +541,10 @@ impl<'g> Enumerator<'g> {
         }
         if s.anchor.is_some() && s.engine != Engine::Sequential {
             return Err(ApiError::Unsupported(
-                "the anchor override only exists on the sequential engine".to_string(),
+                "the anchor only exists on the sequential engine".to_string(),
             ));
         }
-        if s.anchor.is_some() && matches!(s.algorithm, Algorithm::Asym | Algorithm::BruteForce) {
+        if s.anchor.is_some() && s.algorithm == Algorithm::Asym {
             return Err(ApiError::InvalidConfig(format!(
                 "anchor does not apply to algorithm {}",
                 s.algorithm
@@ -575,30 +555,15 @@ impl<'g> Enumerator<'g> {
                 "alternating emission only exists on the sequential engine".to_string(),
             ));
         }
-        if s.emit_mode != EmitMode::Immediate
-            && matches!(s.algorithm, Algorithm::Asym | Algorithm::BruteForce)
-        {
+        if s.emit_mode != EmitMode::Immediate && s.algorithm == Algorithm::Asym {
             return Err(ApiError::Unsupported(format!(
                 "alternating emission is not supported by algorithm {}",
-                s.algorithm
-            )));
-        }
-        if s.core_reduction.is_some() && s.algorithm != Algorithm::Large {
-            return Err(ApiError::InvalidConfig(format!(
-                "core_reduction only applies to Algorithm::Large (got {})",
                 s.algorithm
             )));
         }
         if s.threads != 0 && s.engine == Engine::Sequential {
             return Err(ApiError::InvalidConfig(
                 "threads only applies to the parallel engine".to_string(),
-            ));
-        }
-        if s.algorithm == Algorithm::BruteForce
-            && (self.graph.num_left() > 16 || self.graph.num_right() > 16)
-        {
-            return Err(ApiError::InvalidConfig(
-                "the brute-force oracle is limited to at most 16 vertices per side".to_string(),
             ));
         }
         Ok(())
@@ -889,20 +854,6 @@ fn execute(
             let stats = run_asym(g, kp, &mut filter);
             (EngineStats::Asym(stats), None)
         }
-        Algorithm::BruteForce => {
-            for b in brute_force_mbps(g, spec.k) {
-                let verdict =
-                    if b.left.len() >= spec.theta_left && b.right.len() >= spec.theta_right {
-                        gate.offer(&b)
-                    } else {
-                        gate.check()
-                    };
-                if verdict == Control::Stop {
-                    break;
-                }
-            }
-            (EngineStats::Oracle, None)
-        }
         _ => run_traversal(g, spec, &gate, cancel, deadline),
     };
 
@@ -916,7 +867,7 @@ fn execute(
         let engine_stopped = match &stats {
             EngineStats::Parallel(s) => s.stopped_early,
             EngineStats::Sequential(s) => s.stopped_early,
-            EngineStats::Asym(_) | EngineStats::Oracle => false,
+            EngineStats::Asym(_) => false,
         };
         if !engine_stopped {
             StopReason::Exhausted
@@ -931,8 +882,8 @@ fn execute(
 
 /// Runs a traversal-family spec on the graph it prepares, in this order:
 ///
-/// 1. for [`Algorithm::Large`] with the core reduction on, the
-///    (θ_R − k, θ_L − k)-core of Section 5 — every large MBP survives it,
+/// 1. for [`Algorithm::Large`], the (θ_R − k, θ_L − k)-core of Section 5
+///    — every large MBP survives it,
 ///    because each of its left vertices keeps at least θ_R − k neighbours
 ///    and each right vertex at least θ_L − k;
 /// 2. the [`VertexOrder`] relabeling;
@@ -950,14 +901,13 @@ fn run_traversal(
     cancel: &AtomicBool,
     deadline: Option<Instant>,
 ) -> (EngineStats, Option<ReducedGraph>) {
-    let large = spec.algorithm == Algorithm::Large;
-    let core = (large && spec.core_reduction.unwrap_or(true)).then(|| {
+    let core = (spec.algorithm == Algorithm::Large).then(|| {
         let alpha = spec.theta_right.saturating_sub(spec.k);
         let beta = spec.theta_left.saturating_sub(spec.k);
         alpha_beta_core_subgraph(g, alpha, beta)
     });
     let g = core.as_ref().map_or(g, |core| &core.graph);
-    let reduced = large.then(|| ReducedGraph {
+    let reduced = core.is_some().then(|| ReducedGraph {
         left: g.num_left(),
         right: g.num_right(),
         edges: g.num_edges(),
@@ -970,7 +920,6 @@ fn run_traversal(
     let g = transposed.as_ref().unwrap_or(g);
     let mut spec = spec.clone();
     if right {
-        spec.anchor = Some(Anchor::Left);
         std::mem::swap(&mut spec.theta_left, &mut spec.theta_right);
     }
 
@@ -1002,6 +951,7 @@ fn run_traversal(
 mod tests {
     use super::*;
     use crate::biplex::is_maximal_k_biplex;
+    use crate::bruteforce::{brute_force_large_mbps, brute_force_mbps};
     use crate::sink::{CollectSink, CountingSink};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1027,7 +977,7 @@ mod tests {
     fn every_algorithm_engine_combination_agrees() {
         let g = random_graph(6, 6, 0.5, 1);
         let k = 1;
-        let expected = collect(&Enumerator::new(&g).k(k));
+        let expected = brute_force_mbps(&g, k);
         assert!(!expected.is_empty());
         for algorithm in [
             Algorithm::ITraversal,
@@ -1035,7 +985,6 @@ mod tests {
             Algorithm::LeftAnchoredOnly,
             Algorithm::BTraversal,
             Algorithm::Asym,
-            Algorithm::BruteForce,
         ] {
             let got = collect(&Enumerator::new(&g).k(k).algorithm(algorithm));
             assert_eq!(got, expected, "{algorithm}");
@@ -1183,12 +1132,7 @@ mod tests {
         ));
         assert!(matches!(err(Enumerator::new(&g).threads(2)), ApiError::InvalidConfig(_)));
         assert!(matches!(
-            err(Enumerator::new(&g).core_reduction(false)),
-            ApiError::InvalidConfig(_)
-        ));
-        let big = BipartiteGraph::from_edges(20, 20, &[(0, 0)]).unwrap();
-        assert!(matches!(
-            err(Enumerator::new(&big).algorithm(Algorithm::BruteForce)),
+            err(Enumerator::new(&g).algorithm(Algorithm::Asym).anchor(Anchor::Left)),
             ApiError::InvalidConfig(_)
         ));
         // Errors render.
@@ -1205,7 +1149,6 @@ mod tests {
             Algorithm::BTraversal,
             Algorithm::Large,
             Algorithm::Asym,
-            Algorithm::BruteForce,
         ] {
             assert_eq!(algorithm.to_string().parse::<Algorithm>().unwrap(), algorithm);
         }
@@ -1228,9 +1171,8 @@ mod tests {
             .unwrap();
         let reduced = report.reduced.expect("large runs report the reduction");
         assert!(reduced.left <= g.num_left());
-        let expected = collect(
-            &Enumerator::new(&g).algorithm(Algorithm::Large).thresholds(2, 2).core_reduction(false),
-        );
+        let mut expected = brute_force_large_mbps(&g, 1, 2, 2);
+        expected.sort();
         assert_eq!(sink.into_sorted(), expected);
     }
 }

@@ -14,10 +14,14 @@
 //!   maximal (k+1)-plexes containing `v` with the `kplex` crate — the
 //!   implementation the paper attributes to the original `bTraversal`.
 //!
+//! The engines always run `L2.0/R2.0`, the variant the paper ships; the
+//! others are compared at the procedure level (`fig12_enumalmostsat`, the
+//! `enumalmostsat` bench), which is what Figure 12 measures.
+//!
 //! New vertices on the *right* side (needed by `bTraversal`, which forms
 //! almost-satisfying graphs from both sides) are handled by the caller via
-//! the transposed graph and [`PartialBiplex::flipped`]
-//! (see `traversal::Engine`).
+//! the transposed graph and [`PartialBiplex::flipped`] (see the shared
+//! `iThreeStep`, `ThreeStep::expand` in the crate-private `step` module).
 
 pub mod inflation;
 pub mod refined;
@@ -55,37 +59,6 @@ impl EnumKind {
             EnumKind::L2R1 => "L2.0+R1.0",
             EnumKind::L2R2 => "L2.0+R2.0",
             EnumKind::Inflation => "Inflation",
-        }
-    }
-}
-
-impl std::fmt::Display for EnumKind {
-    /// Stable lowercase wire code (the figure-style [`EnumKind::label`] is
-    /// kept for display in benches and plots).
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EnumKind::L1R1 => "l1r1",
-            EnumKind::L1R2 => "l1r2",
-            EnumKind::L2R1 => "l2r1",
-            EnumKind::L2R2 => "l2r2",
-            EnumKind::Inflation => "inflation",
-        })
-    }
-}
-
-impl std::str::FromStr for EnumKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "l1r1" => Ok(EnumKind::L1R1),
-            "l1r2" => Ok(EnumKind::L1R2),
-            "l2r1" => Ok(EnumKind::L2R1),
-            "l2r2" => Ok(EnumKind::L2R2),
-            "inflation" => Ok(EnumKind::Inflation),
-            other => Err(format!(
-                "unknown enum-almost-sat kind {other:?} (expected l1r1, l1r2, l2r1, l2r2 or inflation)"
-            )),
         }
     }
 }

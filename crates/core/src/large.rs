@@ -55,12 +55,8 @@ mod tests {
             let g = random_graph(6, 6, 0.6, seed);
             for k in 1..=2usize {
                 for theta in 2..=3usize {
-                    let expected = expected(&g, k, theta, theta);
-                    for core in [true, false] {
-                        let got =
-                            large(&g, k, theta, theta).core_reduction(core).collect().unwrap();
-                        assert_eq!(got, expected, "seed {seed} k {k} θ {theta} core {core}");
-                    }
+                    let got = large(&g, k, theta, theta).collect().unwrap();
+                    assert_eq!(got, expected(&g, k, theta, theta), "seed {seed} k {k} θ {theta}");
                 }
             }
         }
@@ -72,17 +68,15 @@ mod tests {
             let g = random_graph(7, 7, 0.55, seed);
             let k = 1;
             for theta in 2..=3usize {
-                for core in [true, false] {
-                    let e = large(&g, k, theta, theta).core_reduction(core);
-                    let expected = e.collect().unwrap();
-                    let mut sink = CollectSink::new();
-                    let report = e.engine(Engine::WorkSteal).threads(3).run(&mut sink).unwrap();
-                    let got = sink.into_sorted();
-                    assert_eq!(got, expected, "seed {seed} θ {theta} core {core}");
-                    assert_eq!(report.solutions as usize, got.len());
-                    let reduced = report.reduced.expect("large runs report the reduction");
-                    assert!(reduced.left <= g.num_left());
-                }
+                let e = large(&g, k, theta, theta);
+                let expected = e.collect().unwrap();
+                let mut sink = CollectSink::new();
+                let report = e.engine(Engine::WorkSteal).threads(3).run(&mut sink).unwrap();
+                let got = sink.into_sorted();
+                assert_eq!(got, expected, "seed {seed} θ {theta}");
+                assert_eq!(report.solutions as usize, got.len());
+                let reduced = report.reduced.expect("large runs report the reduction");
+                assert!(reduced.left <= g.num_left());
             }
         }
     }
@@ -101,7 +95,7 @@ mod tests {
     fn core_reduction_shrinks_the_graph() {
         // A sparse graph loses vertices and edges to the (θ−k)-core, which
         // is reported in the input's orientation also under the right
-        // anchor; without the reduction the whole graph is enumerated.
+        // anchor; thresholds of at most k keep the whole graph.
         let g = random_graph(40, 30, 0.08, 3);
         let reduced = |e: Enumerator<'_>| e.run(&mut CountingSink::new()).unwrap().reduced;
         let core = reduced(large(&g, 1, 4, 3)).expect("large runs report the reduction");
@@ -109,7 +103,7 @@ mod tests {
         assert!(core.edges < g.num_edges());
         assert_eq!(reduced(large(&g, 1, 4, 3).anchor(Anchor::Right)), Some(core));
         let whole = ReducedGraph { left: 40, right: 30, edges: g.num_edges() };
-        assert_eq!(reduced(large(&g, 1, 4, 3).core_reduction(false)), Some(whole));
+        assert_eq!(reduced(large(&g, 1, 1, 1)), Some(whole));
     }
 
     #[test]

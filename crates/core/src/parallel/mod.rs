@@ -220,7 +220,6 @@ pub(crate) fn expand_solution<C, N>(
 mod tests {
     use super::*;
     use crate::api::{Algorithm, Engine, EngineStats, Enumerator};
-    use crate::enum_almost_sat::EnumKind;
     use crate::sink::CollectSink;
     use bigraph::order::VertexOrder;
     use bigraph::BipartiteGraph;
@@ -309,17 +308,6 @@ mod tests {
                 let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k).thresholds(tl, tr), 4);
                 assert_eq!(got, expected, "seed {seed} θ=({tl},{tr})");
             }
-        }
-    }
-
-    #[test]
-    fn every_enum_kind_matches_in_parallel() {
-        let g = random_graph(6, 6, 0.5, 11);
-        let k = 1;
-        let expected = enumerate_all(&g, k);
-        for kind in EnumKind::ALL {
-            let (got, _) = par_enumerate_mbps(Enumerator::new(&g).k(k).enum_kind(kind), 2);
-            assert_eq!(got, expected, "kind {kind:?}");
         }
     }
 

@@ -118,7 +118,6 @@ fn worker(
         g,
         gt: None,
         k: spec.k,
-        enum_kind: spec.enum_kind,
         right_shrinking: true,
         theta_right: spec.theta_right,
         cancel: rt.cancel,
@@ -135,9 +134,9 @@ fn worker(
         }
         let host = pop_own(&deques[w]).or_else(|| steal(w, deques, &mut rng, &mut steals));
         let Some(host) = host else {
-            // ordering: SeqCst — the termination check must observe every
-            // fetch_add that happened before the matching deque push it
-            // failed to find; see DESIGN.md "steal-pending".
+            // ordering: SeqCst — conservative: the counter reaches 0 only
+            // after the last expansion, so a stale read only delays the
+            // exit; see DESIGN.md "steal-pending".
             if pending.load(order!(SeqCst, "steal-pending")) == 0 {
                 break;
             }
@@ -174,8 +173,9 @@ fn worker(
             if expandable && !rt.cancelled() {
                 // Count the item before it becomes stealable so the
                 // termination check can never miss it.
-                // ordering: SeqCst — must not be reordered after the deque
-                // push below; see DESIGN.md "steal-pending".
+                // ordering: SeqCst — conservative: the deque lock already
+                // orders this increment before the pop that takes the item;
+                // see DESIGN.md "steal-pending".
                 pending.fetch_add(1, order!(SeqCst, "steal-pending"));
                 plock(my_deque).push_back(solution);
             }

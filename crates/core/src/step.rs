@@ -5,7 +5,9 @@
 //!
 //! 1. applies the almost-satisfying-graph pruning of Section 5 to v;
 //! 2. forms the almost-satisfying graph `G[L_H ∪ {v}, R_H]` and enumerates
-//!    its local solutions (`EnumAlmostSat`);
+//!    its local solutions with `EnumAlmostSat` in the variant the paper
+//!    ships, L2.0+R2.0 (Algorithm 3; the other variants of Figure 12 are
+//!    measured at the procedure level only);
 //! 3. for every local solution: the exclusion check, the local-solution
 //!    pruning of Section 5, the right-shrinking test (Algorithm 2 line 7),
 //!    the extension to a maximal k-biplex of G, the exclusion check again,
@@ -40,8 +42,6 @@ pub(crate) struct ThreeStep<'a> {
     pub gt: Option<&'a BipartiteGraph>,
     /// The `k` of the k-biplex definition.
     pub k: usize,
-    /// Which `EnumAlmostSat` implementation forms the local solutions.
-    pub enum_kind: EnumKind,
     /// Right-shrinking traversal (Section 3.4): keep only links whose local
     /// solution admits no right vertex of G, and extend on the left only.
     /// Off means both-side extension and no size pruning.
@@ -118,7 +118,7 @@ impl ThreeStep<'_> {
 
         let mut stopped = false;
         let almost_stats =
-            enum_almost_sat(enum_graph, k, self.enum_kind, enum_host, cand.id, |local: Biplex| {
+            enum_almost_sat(enum_graph, k, EnumKind::L2R2, enum_host, cand.id, |local: Biplex| {
                 if stopped || self.cancelled() {
                     stopped = true;
                     return false;

@@ -22,10 +22,10 @@
 //! The `order!` macro (crate-internal) names a memory ordering *site*:
 //! `order!(SeqCst, "steal-pending")`. In production it expands to the
 //! literal ordering. Under the model backend it consults
-//! `modelsim::mutation_active` so a model test can *downgrade* one site to
-//! `Relaxed` at runtime and prove the checker catches the resulting bug —
-//! mutation coverage for memory orderings, without per-mutant rebuilds.
-//! Sites are documented in DESIGN.md § "Memory-ordering arguments".
+//! `modelsim::mutation_active` so a model run can *downgrade* one site to
+//! `Relaxed` at runtime and check whether the protocol still holds, without
+//! per-mutant rebuilds. Sites, and what such runs showed, are documented in
+//! DESIGN.md § "Memory-ordering arguments".
 
 // The model backend is only compiled when explicitly requested; forgetting
 // the feature while setting the cfg would otherwise produce confusing
@@ -54,10 +54,10 @@ pub mod atomic {
 /// Thread spawning and scheduling hints (std or modelsim, by backend).
 pub mod thread {
     #[cfg(not(kbiplex_model))]
-    pub use std::thread::{scope, sleep, yield_now, Scope, ScopedJoinHandle};
+    pub use std::thread::{scope, sleep, yield_now};
 
     #[cfg(kbiplex_model)]
-    pub use modelsim::thread::{scope, sleep, yield_now, Scope, ScopedJoinHandle};
+    pub use modelsim::thread::{scope, sleep, yield_now};
 }
 
 /// Spin-wait hint (std or modelsim, by backend).
@@ -72,9 +72,8 @@ pub mod hint {
 /// Names a memory-ordering site: `order!(SeqCst, "site-tag")`.
 ///
 /// Expands to `Ordering::SeqCst` in production. Under the model backend the
-/// site can be downgraded to `Relaxed` by an active modelsim mutation —
-/// which model tests use to prove the checker would catch an accidental
-/// weakening of the real code.
+/// site can be downgraded to `Relaxed` by an active modelsim mutation, which
+/// checks whether the real code's protocol needs the stronger ordering.
 #[cfg(not(kbiplex_model))]
 macro_rules! order {
     ($ord:ident, $site:literal) => {

@@ -11,8 +11,12 @@
 //!   crate-private `rules` table), so the ablation variants of Figure 11
 //!   (`iTraversal-ES`, `iTraversal-ES-RS`) fall out of the same code path.
 //!
-//! The engine enumerates the graph the [`crate::api`] facade prepared for
-//! it (core-reduced, relabeled, transposed for the right anchor) and hands
+//! The initial solution is a rule of the algorithm, not of the caller:
+//! the left-anchored algorithms start from `H0 = (L0, R)`, from which alone
+//! their traversal is complete, and bTraversal from an arbitrary maximal
+//! k-biplex. The [`Anchor`] only picks the orientation: the engine
+//! enumerates the graph the [`crate::api`] facade prepared for it
+//! (core-reduced, relabeled, transposed for [`Anchor::Right`]) and hands
 //! each solution to the facade's emit closure, which maps it back to input
 //! ids.
 //!
@@ -36,16 +40,15 @@ use crate::step::{Expansion, ThreeStep};
 use crate::store::{HashStore, SolutionStore};
 use crate::sync::atomic::AtomicBool;
 
-/// Which designated initial solution the traversal starts from.
+/// Which side the traversal is anchored on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Anchor {
-    /// `H0 = (L0, R)` — the left-anchored proposal of Section 3.2.
+    /// `H0 = (L0, R)` — the left-anchored proposal of Section 3.2, run on
+    /// the graph as given (the default).
     Left,
     /// `H0 = (L, R0)` — the symmetric proposal, evaluated in Section 6.2.
+    /// The facade runs it as the left-anchored traversal on the transpose.
     Right,
-    /// Any maximal k-biplex (greedy extension of the empty subgraph) — what
-    /// `bTraversal` uses.
-    Arbitrary,
 }
 
 impl std::fmt::Display for Anchor {
@@ -53,7 +56,6 @@ impl std::fmt::Display for Anchor {
         f.write_str(match self {
             Anchor::Left => "left",
             Anchor::Right => "right",
-            Anchor::Arbitrary => "arbitrary",
         })
     }
 }
@@ -65,8 +67,7 @@ impl std::str::FromStr for Anchor {
         match s {
             "left" => Ok(Anchor::Left),
             "right" => Ok(Anchor::Right),
-            "arbitrary" => Ok(Anchor::Arbitrary),
-            other => Err(format!("unknown anchor {other:?} (expected left, right or arbitrary)")),
+            other => Err(format!("unknown anchor {other:?} (expected left or right)")),
         }
     }
 }
@@ -118,20 +119,18 @@ pub(crate) struct Rules {
     pub right_shrinking: bool,
     /// Enable the exclusion strategy (Section 3.5).
     pub exclusion: bool,
-    /// The initial solution unless the spec overrides it.
-    pub anchor: Anchor,
 }
 
 /// The rules of a traversal-family algorithm.
 pub(crate) fn rules(algorithm: Algorithm) -> Rules {
-    let (left_anchored, right_shrinking, exclusion, anchor) = match algorithm {
-        Algorithm::ITraversal | Algorithm::Large => (true, true, true, Anchor::Left),
-        Algorithm::ITraversalNoExclusion => (true, true, false, Anchor::Left),
-        Algorithm::LeftAnchoredOnly => (true, false, false, Anchor::Left),
-        Algorithm::BTraversal => (false, false, false, Anchor::Arbitrary),
-        Algorithm::Asym | Algorithm::BruteForce => unreachable!("not traversal algorithms"),
+    let (left_anchored, right_shrinking, exclusion) = match algorithm {
+        Algorithm::ITraversal | Algorithm::Large => (true, true, true),
+        Algorithm::ITraversalNoExclusion => (true, true, false),
+        Algorithm::LeftAnchoredOnly => (true, false, false),
+        Algorithm::BTraversal => (false, false, false),
+        Algorithm::Asym => unreachable!("not a traversal algorithm"),
     };
-    Rules { left_anchored, right_shrinking, exclusion, anchor }
+    Rules { left_anchored, right_shrinking, exclusion }
 }
 
 /// The sequential reverse-search engine behind the
@@ -157,7 +156,6 @@ pub(crate) fn traverse(
             g,
             gt: gt.as_ref(),
             k: spec.k,
-            enum_kind: spec.enum_kind,
             right_shrinking: rules.right_shrinking,
             theta_right: spec.theta_right,
             cancel,
@@ -170,10 +168,12 @@ pub(crate) fn traverse(
         emit,
         stop: false,
     };
-    let initial = match spec.anchor.unwrap_or(rules.anchor) {
-        Anchor::Left => initial_left_anchored(g, spec.k),
-        Anchor::Arbitrary => initial_arbitrary(g, spec.k),
-        Anchor::Right => unreachable!("the facade runs the right anchor on the transpose"),
+    // The left-anchored traversal is complete only from H0 = (L0, R);
+    // bTraversal reaches every solution from any one (Algorithm 1 line 1).
+    let initial = if rules.left_anchored {
+        initial_left_anchored(g, spec.k)
+    } else {
+        initial_arbitrary(g, spec.k)
     };
     engine.run(initial);
     engine.stats
@@ -415,7 +415,6 @@ mod tests {
     use super::*;
     use crate::api::{EngineStats, Enumerator};
     use crate::bruteforce::brute_force_mbps;
-    use crate::enum_almost_sat::EnumKind;
     use crate::sink::{CollectSink, CountingSink};
     use bigraph::order::VertexOrder;
     use rand::rngs::StdRng;
@@ -542,19 +541,6 @@ mod tests {
             let immediate = run_sorted(e.clone());
             let alternating = run_sorted(e.emit(EmitMode::Alternating));
             assert_eq!(immediate, alternating, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn every_enum_kind_gives_the_same_answer() {
-        let g = random_graph(6, 6, 0.5, 3);
-        let k = 1;
-        let expected = brute_force_mbps(&g, k);
-        for kind in EnumKind::ALL {
-            let e = Enumerator::new(&g).k(k).enum_kind(kind);
-            assert_eq!(run_sorted(e.clone()), expected, "kind {kind:?}");
-            let e = e.algorithm(Algorithm::BTraversal);
-            assert_eq!(run_sorted(e), expected, "bTraversal kind {kind:?}");
         }
     }
 

@@ -54,12 +54,10 @@ const SPEC_KEYS: &[&str] = &[
     "algorithm",
     "engine",
     "order",
-    "enum_kind",
     "emit",
     "anchor",
     "theta_left",
     "theta_right",
-    "core_reduction",
     "threads",
     "limit",
     "time_budget",
@@ -90,9 +88,6 @@ impl QuerySpec {
         if self.order != d.order {
             pairs.push(("order", s(self.order.to_string())));
         }
-        if self.enum_kind != d.enum_kind {
-            pairs.push(("enum_kind", s(self.enum_kind.to_string())));
-        }
         if self.emit_mode != d.emit_mode {
             pairs.push(("emit", s(self.emit_mode.to_string())));
         }
@@ -104,9 +99,6 @@ impl QuerySpec {
         }
         if self.theta_right != d.theta_right {
             pairs.push(("theta_right", u(self.theta_right as u64)));
-        }
-        if let Some(enabled) = self.core_reduction {
-            pairs.push(("core_reduction", Json::Bool(enabled)));
         }
         if self.threads != d.threads {
             pairs.push(("threads", u(self.threads as u64)));
@@ -155,9 +147,6 @@ impl QuerySpec {
         if let Some(v) = doc.get("order") {
             spec.order = parse_code(v, "order")?;
         }
-        if let Some(v) = doc.get("enum_kind") {
-            spec.enum_kind = parse_code(v, "enum_kind")?;
-        }
         if let Some(v) = doc.get("emit") {
             spec.emit_mode = parse_code(v, "emit")?;
         }
@@ -170,10 +159,6 @@ impl QuerySpec {
         }
         if let Some(v) = doc.get("theta_right") {
             spec.theta_right = v.as_usize("theta_right")?;
-        }
-        match doc.get("core_reduction") {
-            None | Some(Json::Null) => {}
-            Some(v) => spec.core_reduction = Some(v.as_bool("core_reduction")?),
         }
         if let Some(v) = doc.get("threads") {
             spec.threads = v.as_usize("threads")?;
@@ -351,13 +336,12 @@ impl AsymStats {
 
 impl EngineStats {
     /// Stable kind code of the variant (`"sequential"`, `"parallel"`,
-    /// `"asym"`, `"oracle"`). Pinned by `tests/api_surface.rs`.
+    /// `"asym"`). Pinned by `tests/api_surface.rs`.
     pub fn kind(&self) -> &'static str {
         match self {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
             EngineStats::Asym(_) => "asym",
-            EngineStats::Oracle => "oracle",
         }
     }
 
@@ -367,7 +351,6 @@ impl EngineStats {
             EngineStats::Sequential(stats) => stats.to_json(),
             EngineStats::Parallel(stats) => stats.to_json(),
             EngineStats::Asym(stats) => stats.to_json(),
-            EngineStats::Oracle => obj(vec![]),
         };
         obj(vec![("kind", s(self.kind())), ("counters", counters)])
     }
@@ -384,7 +367,6 @@ impl EngineStats {
             "sequential" => Ok(EngineStats::Sequential(TraversalStats::from_json(counters?)?)),
             "parallel" => Ok(EngineStats::Parallel(ParallelStats::from_json(counters?)?)),
             "asym" => Ok(EngineStats::Asym(AsymStats::from_json(counters?)?)),
-            "oracle" => Ok(EngineStats::Oracle),
             other => Err(JsonError(format!("engine stats: unknown kind {other:?}"))),
         }
     }
@@ -495,12 +477,10 @@ mod tests {
             algorithm: Algorithm::Asym,
             engine: Engine::WorkSteal,
             order: bigraph::order::VertexOrder::Degeneracy,
-            enum_kind: crate::enum_almost_sat::EnumKind::L1R2,
             emit_mode: crate::traversal::EmitMode::Alternating,
             anchor: Some(crate::traversal::Anchor::Right),
             theta_left: 3,
             theta_right: 4,
-            core_reduction: Some(false),
             threads: 8,
             limit: Some(1000),
             time_budget: Some(Duration::new(3, 500_000_001)),
@@ -522,8 +502,10 @@ mod tests {
     #[test]
     fn retired_engine_codes_and_scheduler_keys_are_rejected() {
         // The global-queue engine, the seen-set / steal-granularity knobs,
-        // the kernel override and the stream buffer are gone: a document
-        // naming them is an error, never a silent fallback to the defaults.
+        // the kernel override, the stream buffer, the EnumAlmostSat
+        // variant, the core-reduction toggle, the arbitrary anchor and the
+        // brute-force algorithm are gone: a document naming them is an
+        // error, never a silent fallback to the defaults.
         for doc in [
             r#"{"engine":"global"}"#,
             r#"{"engine":"global-queue"}"#,
@@ -533,6 +515,11 @@ mod tests {
             r#"{"steal_adaptive":true}"#,
             r#"{"kernel":"merge"}"#,
             r#"{"stream_buffer":8}"#,
+            r#"{"enum_kind":"l1r2"}"#,
+            r#"{"core_reduction":false}"#,
+            r#"{"anchor":"arbitrary"}"#,
+            r#"{"algorithm":"brute-force"}"#,
+            r#"{"algorithm":"oracle"}"#,
         ] {
             assert!(QuerySpec::from_json_str(doc).is_err(), "{doc} must be rejected");
         }
@@ -547,7 +534,6 @@ mod tests {
         for spec in [
             QuerySpec::default(),
             QuerySpec { algorithm: Algorithm::Asym, ..QuerySpec::default() },
-            QuerySpec { algorithm: Algorithm::BruteForce, ..QuerySpec::default() },
             QuerySpec {
                 algorithm: Algorithm::Large,
                 theta_left: 1,
@@ -566,7 +552,6 @@ mod tests {
             match (&back.stats, &report.stats) {
                 (EngineStats::Sequential(a), EngineStats::Sequential(b)) => assert_eq!(a, b),
                 (EngineStats::Asym(a), EngineStats::Asym(b)) => assert_eq!(a, b),
-                (EngineStats::Oracle, EngineStats::Oracle) => {}
                 (EngineStats::Parallel(a), EngineStats::Parallel(b)) => {
                     assert_eq!(a.solutions, b.solutions);
                     assert_eq!(a.threads, b.threads);

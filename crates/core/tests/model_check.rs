@@ -13,7 +13,9 @@
 //! simulation, and asserts the protocol invariants hold on every explored
 //! schedule *and* that coverage met the floor: one winner per key in the
 //! seen-set's shard locks, termination through the work-stealer's
-//! pending-work counter, and exact delivery under cancellation.
+//! pending-work counter, and exact delivery under cancellation. The engine
+//! protocols run on a graph with four solutions, so the workers push, steal
+//! and claim discovered items rather than only the seed.
 
 #![cfg(all(kbiplex_model, feature = "model"))]
 
@@ -66,13 +68,19 @@ fn seen_one_winner_on_hot_key() {
 // Protocol 2: engine termination (pending counter)
 // ---------------------------------------------------------------------------
 
+/// The miss budget of the engine protocols.
+const K: usize = 0;
+
 /// The reference answer, computed once by the sequential engine.
 fn expected_solutions(g: &BipartiteGraph) -> Vec<Biplex> {
-    Enumerator::new(g).k(1).collect().expect("sequential reference")
+    Enumerator::new(g).k(K).collect().expect("sequential reference")
 }
 
+/// The 2×2 perfect matching: at k = 0 its maximal bicliques are the two
+/// edges and the two one-sided sets. The seed is one of them; the workers
+/// discover the other three.
 fn tiny_graph() -> BipartiteGraph {
-    BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]).expect("valid edges")
+    BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]).expect("valid edges")
 }
 
 /// Work-stealing engine under the model: the pending-work counter must
@@ -83,10 +91,11 @@ fn tiny_graph() -> BipartiteGraph {
 fn work_steal_engine_terminates_exactly() {
     let g = tiny_graph();
     let expected = expected_solutions(&g);
+    assert_eq!(expected.len(), 4, "the workers must discover solutions beyond the seed");
     let report = check(&Config::default(), || {
         let mut sink = CollectSink::new();
         let run = Enumerator::new(&g)
-            .k(1)
+            .k(K)
             .engine(Engine::WorkSteal)
             .threads(2)
             .run(&mut sink)
@@ -106,24 +115,25 @@ fn work_steal_engine_terminates_exactly() {
 // Protocol 3: cancellation delivery through the facade gate
 // ---------------------------------------------------------------------------
 
-/// A limited run through the full `Enumerator` facade: the gate must
-/// deliver exactly one solution, raise the shared cancel flag and wind the
-/// workers down on every schedule (stale flag reads only delay the stop —
-/// the run still terminates through the pending counter).
+/// A limited run through the full `Enumerator` facade: the seed is the
+/// first delivery, so the second comes from a worker, and the gate must
+/// stop at exactly two, raise the shared cancel flag and wind the workers
+/// down on every schedule (stale flag reads only delay the stop — the run
+/// still terminates through the pending counter).
 #[test]
 fn cancellation_delivers_limit_exactly() {
     let g = tiny_graph();
     let report = check(&Config::default(), || {
         let mut sink = CollectSink::new();
         let run = Enumerator::new(&g)
-            .k(1)
+            .k(K)
             .engine(Engine::WorkSteal)
             .threads(2)
-            .limit(1)
+            .limit(2)
             .run(&mut sink)
             .expect("valid spec");
         assert_eq!(run.stop, StopReason::LimitReached);
-        assert_eq!(sink.solutions.len(), 1, "limit(1) must deliver exactly one solution");
+        assert_eq!(sink.solutions.len(), 2, "limit(2) must deliver exactly two solutions");
     })
     .unwrap_or_else(|failure| panic!("cancellation protocol refuted: {failure}"));
     assert_coverage(&report, "cancellation");

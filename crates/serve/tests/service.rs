@@ -365,6 +365,11 @@ fn retired_engine_codes_and_scheduler_keys_get_bad_request() {
         r#"{"steal_adaptive":false}"#,
         r#"{"kernel":"merge"}"#,
         r#"{"stream_buffer":8}"#,
+        r#"{"enum_kind":"l1r2"}"#,
+        r#"{"core_reduction":false}"#,
+        r#"{"anchor":"arbitrary"}"#,
+        r#"{"algorithm":"brute-force"}"#,
+        r#"{"algorithm":"oracle"}"#,
     ] {
         let request = format!(r#"{{"type":"query","id":3,"tenant":"t","spec":{spec}}}"#);
         write_frame(&mut raw, request.as_bytes()).expect("send query");

@@ -38,11 +38,9 @@ fn signature_pins<'g>(_g: &'g bigraph::BipartiteGraph) {
     let _algorithm: fn(Enumerator<'g>, Algorithm) -> Enumerator<'g> = Enumerator::algorithm;
     let _engine: fn(Enumerator<'g>, Engine) -> Enumerator<'g> = Enumerator::engine;
     let _order: fn(Enumerator<'g>, kbiplex::VertexOrder) -> Enumerator<'g> = Enumerator::order;
-    let _enum_kind: fn(Enumerator<'g>, kbiplex::EnumKind) -> Enumerator<'g> = Enumerator::enum_kind;
     let _emit: fn(Enumerator<'g>, kbiplex::EmitMode) -> Enumerator<'g> = Enumerator::emit;
     let _anchor: fn(Enumerator<'g>, kbiplex::Anchor) -> Enumerator<'g> = Enumerator::anchor;
     let _thresholds: fn(Enumerator<'g>, usize, usize) -> Enumerator<'g> = Enumerator::thresholds;
-    let _core_reduction: fn(Enumerator<'g>, bool) -> Enumerator<'g> = Enumerator::core_reduction;
     let _threads: fn(Enumerator<'g>, usize) -> Enumerator<'g> = Enumerator::threads;
     let _limit: fn(Enumerator<'g>, u64) -> Enumerator<'g> = Enumerator::limit;
     let _time_budget: fn(Enumerator<'g>, Duration) -> Enumerator<'g> = Enumerator::time_budget;
@@ -93,7 +91,6 @@ fn enums_are_exactly_the_snapshot() {
         Algorithm::BTraversal,
         Algorithm::Large,
         Algorithm::Asym,
-        Algorithm::BruteForce,
     ];
     for a in algorithms {
         let name = match a {
@@ -103,11 +100,26 @@ fn enums_are_exactly_the_snapshot() {
             Algorithm::BTraversal => "btraversal",
             Algorithm::Large => "large",
             Algorithm::Asym => "asym",
-            Algorithm::BruteForce => "brute-force",
         };
         assert_eq!(a.to_string(), name);
         assert_eq!(name.parse::<Algorithm>().unwrap(), a);
     }
+    // The brute-force oracle is no facade algorithm: its codes are rejected.
+    for retired in ["brute-force", "oracle"] {
+        assert!(retired.parse::<Algorithm>().is_err(), "{retired}");
+    }
+
+    for a in [kbiplex::Anchor::Left, kbiplex::Anchor::Right] {
+        let name = match a {
+            kbiplex::Anchor::Left => "left",
+            kbiplex::Anchor::Right => "right",
+        };
+        assert_eq!(a.to_string(), name);
+        assert_eq!(name.parse::<kbiplex::Anchor>().unwrap(), a);
+    }
+    // The arbitrary anchor lost solutions under the left-anchored
+    // algorithms; its code stays rejected.
+    assert!("arbitrary".parse::<kbiplex::Anchor>().is_err());
 
     for e in [Engine::Sequential, Engine::WorkSteal] {
         let name = match e {
@@ -172,14 +184,12 @@ fn engine_stats_kinds_are_the_snapshot() {
         EngineStats::Sequential(kbiplex::TraversalStats::default()),
         EngineStats::Parallel(kbiplex::ParallelStats::default()),
         EngineStats::Asym(kbiplex::asym::AsymStats::default()),
-        EngineStats::Oracle,
     ];
     for s in stats {
         let kind = match s {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
             EngineStats::Asym(_) => "asym",
-            EngineStats::Oracle => "oracle",
         };
         assert_eq!(s.kind(), kind);
         assert_eq!(EngineStats::from_json(&s.to_json()).unwrap(), s);
@@ -197,12 +207,10 @@ fn query_spec_fields_are_the_snapshot() {
         algorithm,
         engine,
         order,
-        enum_kind,
         emit_mode,
         anchor,
         theta_left,
         theta_right,
-        core_reduction,
         threads,
         limit,
         time_budget,
@@ -212,11 +220,9 @@ fn query_spec_fields_are_the_snapshot() {
     let _: Algorithm = algorithm;
     let _: Engine = engine;
     let _: kbiplex::VertexOrder = order;
-    let _: kbiplex::EnumKind = enum_kind;
     let _: kbiplex::EmitMode = emit_mode;
     let _: Option<kbiplex::Anchor> = anchor;
     let _: (usize, usize) = (theta_left, theta_right);
-    let _: Option<bool> = core_reduction;
     let _: usize = threads;
     let _: Option<u64> = limit;
     let _: Option<Duration> = time_budget;
@@ -245,7 +251,7 @@ fn report_shapes_are_the_snapshot() {
         EngineStats::Parallel(s) => {
             let _: kbiplex::ParallelStats = s;
         }
-        EngineStats::Asym(_) | EngineStats::Oracle => {}
+        EngineStats::Asym(_) => {}
     }
     let ReducedGraph { left, right, edges } = reduced.expect("large runs report the reduction");
     let _: (u32, u32, u64) = (left, right, edges);

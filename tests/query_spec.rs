@@ -17,7 +17,6 @@ fn algorithm_strategy() -> impl Strategy<Value = Algorithm> {
         Just(Algorithm::BTraversal),
         Just(Algorithm::Large),
         Just(Algorithm::Asym),
-        Just(Algorithm::BruteForce),
     ]
 }
 
@@ -29,22 +28,12 @@ fn order_strategy() -> impl Strategy<Value = VertexOrder> {
     prop_oneof![Just(VertexOrder::Input), Just(VertexOrder::Degree), Just(VertexOrder::Degeneracy)]
 }
 
-fn enum_kind_strategy() -> impl Strategy<Value = EnumKind> {
-    prop_oneof![
-        Just(EnumKind::L1R1),
-        Just(EnumKind::L1R2),
-        Just(EnumKind::L2R1),
-        Just(EnumKind::L2R2),
-        Just(EnumKind::Inflation),
-    ]
-}
-
 fn emit_strategy() -> impl Strategy<Value = EmitMode> {
     prop_oneof![Just(EmitMode::Immediate), Just(EmitMode::Alternating)]
 }
 
 fn anchor_strategy() -> impl Strategy<Value = Anchor> {
-    prop_oneof![Just(Anchor::Left), Just(Anchor::Right), Just(Anchor::Arbitrary)]
+    prop_oneof![Just(Anchor::Left), Just(Anchor::Right)]
 }
 
 fn duration_strategy() -> impl Strategy<Value = Duration> {
@@ -62,34 +51,30 @@ fn spec_strategy() -> impl Strategy<Value = QuerySpec> {
         algorithm_strategy(),
         engine_strategy(),
         order_strategy(),
-        enum_kind_strategy(),
         emit_strategy(),
         proptest::option::of(anchor_strategy()),
     );
     let second = (
         0usize..6,
         0usize..6,
-        proptest::option::of(any::<bool>()),
         0usize..9,
         proptest::option::of(any::<u64>()),
         proptest::option::of(duration_strategy()),
     );
     (first, second).prop_map(
         |(
-            (k, k_pair, algorithm, engine, order, enum_kind, emit_mode, anchor),
-            (theta_left, theta_right, core_reduction, threads, limit, time_budget),
+            (k, k_pair, algorithm, engine, order, emit_mode, anchor),
+            (theta_left, theta_right, threads, limit, time_budget),
         )| QuerySpec {
             k,
             k_pair: k_pair.map(|(left, right)| KPair { left, right }),
             algorithm,
             engine,
             order,
-            enum_kind,
             emit_mode,
             anchor,
             theta_left,
             theta_right,
-            core_reduction,
             threads,
             limit,
             time_budget,
@@ -134,7 +119,6 @@ proptest! {
             .algorithm(spec.algorithm)
             .engine(spec.engine)
             .order(spec.order)
-            .enum_kind(spec.enum_kind)
             .emit(spec.emit_mode)
             .thresholds(spec.theta_left, spec.theta_right)
             .threads(spec.threads);
@@ -143,9 +127,6 @@ proptest! {
         }
         if let Some(a) = spec.anchor {
             e = e.anchor(a);
-        }
-        if let Some(c) = spec.core_reduction {
-            e = e.core_reduction(c);
         }
         if let Some(n) = spec.limit {
             e = e.limit(n);
@@ -166,7 +147,7 @@ fn default_spec_encodes_to_the_empty_document() {
 #[test]
 fn null_resets_the_optional_fields() {
     let spec = QuerySpec::from_json_str(
-        r#"{"k_pair":null,"anchor":null,"core_reduction":null,"limit":null,"time_budget":null}"#,
+        r#"{"k_pair":null,"anchor":null,"limit":null,"time_budget":null}"#,
     )
     .unwrap();
     assert_eq!(spec, QuerySpec::default());
@@ -203,12 +184,13 @@ fn enum_codes_round_trip_through_their_display_form() {
         algorithm: Algorithm::LeftAnchoredOnly,
         engine: Engine::WorkSteal,
         order: VertexOrder::Degeneracy,
-        anchor: Some(Anchor::Arbitrary),
+        anchor: Some(Anchor::Right),
         ..QuerySpec::default()
     };
     let text = spec.to_json_string();
     assert!(text.contains(r#""algorithm":"itraversal-es-rs""#), "{text}");
     assert!(text.contains(r#""engine":"steal""#), "{text}");
     assert!(text.contains(r#""order":"degeneracy""#), "{text}");
+    assert!(text.contains(r#""anchor":"right""#), "{text}");
     assert_eq!(QuerySpec::from_json_str(&text).unwrap(), spec);
 }

@@ -46,7 +46,8 @@
 //! container is offline): [`syntax::SourceFile::parse`] lexes each file
 //! **once** into a token stream plus masked lines, and every rule family
 //! shares that one parse. `#[cfg(test)]` module extents are tracked by
-//! brace depth over the masked lines. Fixture files under
+//! brace depth over the masked lines, and a file its parent declares as
+//! `#[cfg(test)] mod x;` is test code throughout. Fixture files under
 //! `xtask/tests/fixtures/` encode their virtual location in a
 //! `// lint-as:` header so the integration tests can drive each rule
 //! without polluting the real tree. The `--report` flag writes the JSON
@@ -59,6 +60,7 @@ pub mod registry;
 pub mod report;
 pub mod syntax;
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -187,11 +189,44 @@ pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
 /// lives in [`lint_workspace`].)
 #[must_use]
 pub fn lint_parsed(rel: &str, sf: &SourceFile) -> Vec<Finding> {
-    let mask = test_line_mask(sf);
-    let mut findings = lint_lines(rel, sf, &mask);
-    findings.extend(guards::analyze(rel, sf, &mask));
+    lint_masked(rel, sf, &test_line_mask(sf))
+}
+
+/// [`lint_parsed`] under a given test-code mask (one flag per line).
+fn lint_masked(rel: &str, sf: &SourceFile, test_mask: &[bool]) -> Vec<Finding> {
+    let mut findings = lint_lines(rel, sf, test_mask);
+    findings.extend(guards::analyze(rel, sf, test_mask));
     findings.sort_by_key(|f| f.line);
     findings
+}
+
+/// Workspace-relative paths of the files `rel` declares at top level as
+/// `#[cfg(test)]` followed by `mod x;` on the next line: `x.rs` or
+/// `x/mod.rs` in the directory that holds its child modules (its own for
+/// `lib.rs`, `main.rs` and `mod.rs`, the one named after it otherwise).
+/// Such a file only exists in test builds.
+fn cfg_test_children(rel: &str, sf: &SourceFile) -> Vec<String> {
+    let (dir, file) = rel.rsplit_once('/').unwrap_or(("", rel));
+    let base = match file {
+        "lib.rs" | "main.rs" | "mod.rs" => dir.to_string(),
+        _ => format!("{dir}/{}", file.trim_end_matches(".rs")),
+    };
+    let mut children = Vec::new();
+    let mut depth: i32 = 0;
+    let mut after_cfg_test = false;
+    for code in &sf.code_lines {
+        let line = code.trim();
+        if after_cfg_test {
+            let decl = line.trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(name) = decl.strip_prefix("mod ").and_then(|d| d.strip_suffix(';')) {
+                children.push(format!("{base}/{name}.rs"));
+                children.push(format!("{base}/{name}/mod.rs"));
+            }
+        }
+        after_cfg_test = depth == 0 && line == "#[cfg(test)]";
+        depth += code.matches('{').count() as i32 - code.matches('}').count() as i32;
+    }
+    children
 }
 
 /// The legacy line-oriented rules, over the masked lines of one parse.
@@ -348,15 +383,33 @@ pub fn lint_workspace(root: &Path) -> LintRun {
     }
     files.sort();
 
+    // Parse everything before linting anything: whether a file is test
+    // code throughout is decided by its parent, which may sort after it.
+    let parsed: Vec<(String, Option<(String, SourceFile)>)> = files
+        .iter()
+        .map(|path| {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace(std::path::MAIN_SEPARATOR, "/");
+            let file = fs::read_to_string(path).ok().map(|source| {
+                let sf = SourceFile::parse(&source);
+                (source, sf)
+            });
+            (rel, file)
+        })
+        .collect();
+    let test_files: HashSet<String> = parsed
+        .iter()
+        .filter_map(|(rel, file)| file.as_ref().map(|(_, sf)| cfg_test_children(rel, sf)))
+        .flatten()
+        .collect();
+
     let mut findings = Vec::new();
     let mut order_sites = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace(std::path::MAIN_SEPARATOR, "/");
-        let Ok(source) = fs::read_to_string(path) else {
+    for (rel, file) in parsed {
+        let Some((source, sf)) = file else {
             findings.push(Finding {
                 path: rel,
                 line: 0,
@@ -369,11 +422,15 @@ pub fn lint_workspace(root: &Path) -> LintRun {
         if is_crate_root {
             findings.extend(lint_crate_root(&rel, &source));
         }
-        let sf = SourceFile::parse(&source);
         if rel.starts_with(registry::SITE_SCOPE) {
             order_sites.extend(registry::collect_order_sites(&rel, &sf));
         }
-        findings.extend(lint_parsed(&rel, &sf));
+        let test_mask = if test_files.contains(&rel) {
+            vec![true; sf.code_lines.len()]
+        } else {
+            test_line_mask(&sf)
+        };
+        findings.extend(lint_masked(&rel, &sf, &test_mask));
     }
 
     // Cross-file rule: ordering-registry-drift.

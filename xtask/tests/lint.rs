@@ -277,6 +277,32 @@ fn missing_forbid_unsafe_is_flagged() {
     }
 }
 
+/// A file its parent declares `#[cfg(test)] mod x;` is test code
+/// throughout, although it sorts before the parent; declared without the
+/// attribute, the same file is library code.
+#[test]
+fn cfg_test_child_file_is_test_code() {
+    let root = std::env::temp_dir().join(format!("xtask_cfg_test_child_{}", std::process::id()));
+    let src = root.join("crates/core/src");
+    fs::create_dir_all(&src).expect("temporary tree");
+    let child = "pub fn first(v: &[u32]) -> u32 {\n    *v.first().unwrap()\n}\n";
+    fs::write(src.join("child.rs"), child).expect("child written");
+    let lint = |parent: &str| {
+        fs::write(src.join("lib.rs"), parent).expect("parent written");
+        lint_workspace(&root)
+    };
+    let as_test = lint("#![forbid(unsafe_code)]\n\n#[cfg(test)]\nmod child;\n");
+    let as_library = lint("#![forbid(unsafe_code)]\n\nmod child;\n");
+    let _ = fs::remove_dir_all(&root);
+    assert_eq!(as_test.files_scanned, 2);
+    assert!(as_test.findings.is_empty(), "{:?}", as_test.findings);
+    assert!(
+        as_library.findings.iter().any(|f| f.rule == "no-unwrap" && f.path.ends_with("/child.rs")),
+        "{:?}",
+        as_library.findings
+    );
+}
+
 #[test]
 fn workspace_is_clean() {
     let root = workspace_root();
