@@ -179,6 +179,7 @@ mod tests {
             r#"{"anchor":"arbitrary"}"#,
             r#"{"algorithm":"brute-force"}"#,
             r#"{"algorithm":"oracle"}"#,
+            r#"{"algorithm":"asym"}"#,
         ] {
             assert!(spec_from_args(&args(&["--spec", doc], &[])).is_err(), "{doc}");
         }

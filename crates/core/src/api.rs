@@ -63,17 +63,20 @@
 //! ## Graph preparation
 //!
 //! The facade is the one place that decides which graph a run enumerates
-//! and how its solutions reach the caller. For the traversal-family
-//! algorithms it prepares the graph once — the (θ−k)-core reduction of
+//! and how its solutions reach the caller. For every algorithm it
+//! prepares the graph once — the (θ−k)-core reduction of
 //! [`Algorithm::Large`] (Section 5), then the [`VertexOrder`] relabeling,
-//! then for [`Anchor::Right`] the transpose (Section 6.2) — and either
+//! then for [`Anchor::Right`] the transpose (Section 6.2), with the
+//! thresholds and a budget pair swapped — and either
 //! engine runs on that graph, handing every solution to one emit closure
 //! that maps it back to input ids and offers it to the stopping rules.
 //!
 //! What the paper fixes is not a knob: every engine runs `EnumAlmostSat`
 //! as L2.0+R2.0 (Algorithm 3), the left-anchored algorithms start from
 //! `H0 = (L0, R)` and bTraversal from an arbitrary maximal k-biplex, and
-//! [`Algorithm::Large`] always enumerates the (θ−k)-core. The brute-force
+//! [`Algorithm::Large`] always enumerates the (θ−k)-core. Per-side budgets
+//! ([`Enumerator::k_pair`]) are no algorithm either: bTraversal runs its
+//! one traversal and its one `iThreeStep` with the pair. The brute-force
 //! oracle is no algorithm of the facade: tests call
 //! [`brute_force_mbps`](crate::bruteforce::brute_force_mbps) directly, so it
 //! shares no code path with the engines it checks.
@@ -88,8 +91,7 @@ use bigraph::core_decomp::alpha_beta_core_subgraph;
 use bigraph::order::{Relabeling, VertexOrder};
 use bigraph::BipartiteGraph;
 
-use crate::asym::{run_asym, AsymStats, KPair};
-use crate::biplex::Biplex;
+use crate::biplex::{Biplex, KPair};
 use crate::parallel::{par_run, ParRuntime, ParallelStats};
 use crate::sink::{Control, SolutionSink};
 use crate::stats::TraversalStats;
@@ -114,14 +116,14 @@ pub enum Algorithm {
     ITraversalNoExclusion,
     /// `iTraversal-ES-RS`: left-anchored traversal only.
     LeftAnchoredOnly,
-    /// The conventional `bTraversal` reverse-search framework (Algorithm 1).
+    /// The conventional `bTraversal` reverse-search framework (Algorithm 1),
+    /// the one algorithm that also takes per-side budgets
+    /// ([`Enumerator::k_pair`]).
     BTraversal,
     /// The large-MBP pipeline of Section 5: the (θ_R − k, θ_L − k)-core
     /// reduction plus the size-pruned `iTraversal` under the
     /// [`Enumerator::thresholds`].
     Large,
-    /// Asymmetric per-side budgets (set them with [`Enumerator::k_pair`]).
-    Asym,
 }
 
 impl Algorithm {
@@ -140,7 +142,6 @@ impl fmt::Display for Algorithm {
             Algorithm::LeftAnchoredOnly => "itraversal-es-rs",
             Algorithm::BTraversal => "btraversal",
             Algorithm::Large => "large",
-            Algorithm::Asym => "asym",
         };
         f.write_str(name)
     }
@@ -156,10 +157,9 @@ impl std::str::FromStr for Algorithm {
             "itraversal-es-rs" => Ok(Algorithm::LeftAnchoredOnly),
             "btraversal" => Ok(Algorithm::BTraversal),
             "large" => Ok(Algorithm::Large),
-            "asym" => Ok(Algorithm::Asym),
             other => Err(format!(
                 "unknown algorithm {other:?} (expected itraversal, itraversal-es, \
-                 itraversal-es-rs, btraversal, large or asym)"
+                 itraversal-es-rs, btraversal or large)"
             )),
         }
     }
@@ -252,8 +252,6 @@ pub enum EngineStats {
     Sequential(TraversalStats),
     /// A parallel (work-stealing) run.
     Parallel(ParallelStats),
-    /// An asymmetric enumeration run.
-    Asym(AsymStats),
 }
 
 /// Size of the (θ−k)-core-reduced graph an [`Algorithm::Large`] run actually
@@ -287,7 +285,8 @@ pub struct RunReport {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ApiError {
     /// The algorithm × engine (or algorithm × knob) combination does not
-    /// exist in this build — e.g. [`Algorithm::Asym`] on a parallel engine.
+    /// exist in this build — e.g. [`Algorithm::BTraversal`] on a parallel
+    /// engine.
     Unsupported(String),
     /// A knob value is invalid on its own terms.
     InvalidConfig(String),
@@ -359,7 +358,8 @@ impl std::error::Error for ApiError {}
 pub struct QuerySpec {
     /// Miss budget `k` of the k-biplex definition (default 1).
     pub k: usize,
-    /// Asymmetric per-side budgets ([`Algorithm::Asym`] only).
+    /// Per-side budgets `(k_L, k_R)` ([`Algorithm::BTraversal`] only);
+    /// when set they replace `k`.
     pub k_pair: Option<KPair>,
     /// Algorithm variant (default [`Algorithm::ITraversal`]).
     pub algorithm: Algorithm,
@@ -441,8 +441,10 @@ impl<'g> Enumerator<'g> {
         self
     }
 
-    /// Sets asymmetric per-side budgets (only for [`Algorithm::Asym`]; that
-    /// algorithm defaults to `KPair::symmetric(k)` when this is unset).
+    /// Sets per-side budgets `(k_L, k_R)`, which replace `k`: the run
+    /// enumerates the maximal (k_L, k_R)-biplexes. Only
+    /// [`Algorithm::BTraversal`] takes a pair, since the paper proves the
+    /// other algorithms' prunings for a single k.
     pub fn k_pair(mut self, kp: KPair) -> Self {
         self.spec.k_pair = Some(kp);
         self
@@ -510,9 +512,7 @@ impl<'g> Enumerator<'g> {
     /// is checked at every solution delivery, at every DFS step of the
     /// sequential engine, and at the parallel workers' steal/expand
     /// boundaries — so a budgeted run stops within one expansion even when
-    /// the thresholds filter out every solution. Only applies to the
-    /// traversal-family algorithms' engines; the asym engine checks the
-    /// budget at deliveries only.
+    /// the thresholds filter out every solution.
     pub fn time_budget(mut self, budget: Duration) -> Self {
         self.spec.time_budget = Some(budget);
         self
@@ -527,15 +527,9 @@ impl<'g> Enumerator<'g> {
                 s.algorithm, s.engine
             )));
         }
-        if s.k_pair.is_some() && s.algorithm != Algorithm::Asym {
+        if s.k_pair.is_some() && s.algorithm != Algorithm::BTraversal {
             return Err(ApiError::InvalidConfig(format!(
-                "k_pair only applies to Algorithm::Asym (got {})",
-                s.algorithm
-            )));
-        }
-        if s.order != VertexOrder::Input && s.algorithm == Algorithm::Asym {
-            return Err(ApiError::Unsupported(format!(
-                "vertex relabeling is not supported by algorithm {}",
+                "k_pair only applies to algorithm btraversal (got {})",
                 s.algorithm
             )));
         }
@@ -544,22 +538,10 @@ impl<'g> Enumerator<'g> {
                 "the anchor only exists on the sequential engine".to_string(),
             ));
         }
-        if s.anchor.is_some() && s.algorithm == Algorithm::Asym {
-            return Err(ApiError::InvalidConfig(format!(
-                "anchor does not apply to algorithm {}",
-                s.algorithm
-            )));
-        }
         if s.emit_mode != EmitMode::Immediate && s.engine != Engine::Sequential {
             return Err(ApiError::Unsupported(
                 "alternating emission only exists on the sequential engine".to_string(),
             ));
-        }
-        if s.emit_mode != EmitMode::Immediate && s.algorithm == Algorithm::Asym {
-            return Err(ApiError::Unsupported(format!(
-                "alternating emission is not supported by algorithm {}",
-                s.algorithm
-            )));
         }
         if s.threads != 0 && s.engine == Engine::Sequential {
             return Err(ApiError::InvalidConfig(
@@ -750,16 +732,6 @@ impl<'a> Gate<'a> {
         }
     }
 
-    /// Applies the stopping rules without delivering a solution (used by
-    /// post-filters for solutions they drop).
-    fn check(&self) -> Control {
-        let mut inner = plock(&self.inner);
-        match self.pre_checks(&mut inner) {
-            Some(control) => control,
-            None => Control::Continue,
-        }
-    }
-
     /// Delivers one solution through the stopping rules.
     fn offer(&self, solution: &Biplex) -> Control {
         let mut inner = plock(&self.inner);
@@ -838,24 +810,7 @@ fn execute(
     let gate = Gate::new(sink, spec.limit, deadline, cancel, undelivered);
     let start = Instant::now();
 
-    let (stats, reduced) = match spec.algorithm {
-        Algorithm::Asym => {
-            let kp = spec.k_pair.unwrap_or(KPair::symmetric(spec.k));
-            // The asymmetric engine has no in-search size pruning; the
-            // thresholds post-filter (still consulting the stopping rules
-            // for dropped solutions so budgets fire on schedule).
-            let mut filter = |b: &Biplex| {
-                if b.left.len() >= spec.theta_left && b.right.len() >= spec.theta_right {
-                    gate.offer(b)
-                } else {
-                    gate.check()
-                }
-            };
-            let stats = run_asym(g, kp, &mut filter);
-            (EngineStats::Asym(stats), None)
-        }
-        _ => run_traversal(g, spec, &gate, cancel, deadline),
-    };
+    let (stats, reduced) = run_traversal(g, spec, &gate, cancel, deadline);
 
     let elapsed = start.elapsed();
     let (delivered, reason) = gate.finish();
@@ -867,7 +822,6 @@ fn execute(
         let engine_stopped = match &stats {
             EngineStats::Parallel(s) => s.stopped_early,
             EngineStats::Sequential(s) => s.stopped_early,
-            EngineStats::Asym(_) => false,
         };
         if !engine_stopped {
             StopReason::Exhausted
@@ -880,16 +834,16 @@ fn execute(
     RunReport { solutions: delivered, stop, elapsed, stats, reduced }
 }
 
-/// Runs a traversal-family spec on the graph it prepares, in this order:
+/// Runs a validated spec on the graph it prepares, in this order:
 ///
 /// 1. for [`Algorithm::Large`], the (θ_R − k, θ_L − k)-core of Section 5
 ///    — every large MBP survives it,
 ///    because each of its left vertices keeps at least θ_R − k neighbours
 ///    and each right vertex at least θ_L − k;
 /// 2. the [`VertexOrder`] relabeling;
-/// 3. for [`Anchor::Right`], the transpose with θ_L and θ_R swapped — the
-///    right-anchored traversal of Section 6.2 is the left-anchored one on
-///    Gᵀ.
+/// 3. for [`Anchor::Right`], the transpose with θ_L and θ_R swapped, and
+///    the budget pair with them — the right-anchored traversal of
+///    Section 6.2 is the left-anchored one on Gᵀ.
 ///
 /// The engine gets that graph plus one emit closure, which maps each
 /// solution back to input ids and offers it to the gate. The reported
@@ -921,6 +875,7 @@ fn run_traversal(
     let mut spec = spec.clone();
     if right {
         std::mem::swap(&mut spec.theta_left, &mut spec.theta_right);
+        spec.k_pair = spec.k_pair.map(KPair::transpose);
     }
 
     // Undo the preparations in reverse order.
@@ -984,11 +939,13 @@ mod tests {
             Algorithm::ITraversalNoExclusion,
             Algorithm::LeftAnchoredOnly,
             Algorithm::BTraversal,
-            Algorithm::Asym,
         ] {
             let got = collect(&Enumerator::new(&g).k(k).algorithm(algorithm));
             assert_eq!(got, expected, "{algorithm}");
         }
+        // The symmetric pair is the plain k.
+        let e = Enumerator::new(&g).algorithm(Algorithm::BTraversal).k_pair(KPair::symmetric(k));
+        assert_eq!(collect(&e), expected, "btraversal with k_pair ({k}, {k})");
         for algorithm in [Algorithm::ITraversal, Algorithm::ITraversalNoExclusion] {
             let got = collect(
                 &Enumerator::new(&g).k(k).algorithm(algorithm).engine(Engine::WorkSteal).threads(3),
@@ -1114,27 +1071,25 @@ mod tests {
     fn invalid_combinations_are_rejected() {
         let g = random_graph(4, 4, 0.5, 0);
         let err = |e: Enumerator<'_>| e.run(&mut CountingSink::new()).unwrap_err();
-        assert!(matches!(
-            err(Enumerator::new(&g).algorithm(Algorithm::Asym).engine(Engine::WorkSteal)),
-            ApiError::Unsupported(_)
-        ));
+        let pair = || Enumerator::new(&g).algorithm(Algorithm::BTraversal).k_pair(KPair::new(1, 2));
+        assert!(matches!(err(pair().engine(Engine::WorkSteal)), ApiError::Unsupported(_)));
         assert!(matches!(
             err(Enumerator::new(&g).algorithm(Algorithm::BTraversal).engine(Engine::WorkSteal)),
             ApiError::Unsupported(_)
         ));
-        assert!(matches!(
-            err(Enumerator::new(&g).k_pair(KPair::new(1, 2))),
-            ApiError::InvalidConfig(_)
-        ));
-        assert!(matches!(
-            err(Enumerator::new(&g).algorithm(Algorithm::Asym).order(VertexOrder::Degree)),
-            ApiError::Unsupported(_)
-        ));
+        for algorithm in [
+            Algorithm::ITraversal,
+            Algorithm::ITraversalNoExclusion,
+            Algorithm::LeftAnchoredOnly,
+            Algorithm::Large,
+        ] {
+            let e = Enumerator::new(&g).algorithm(algorithm).k_pair(KPair::new(1, 2));
+            assert!(matches!(err(e), ApiError::InvalidConfig(_)), "{algorithm}");
+        }
         assert!(matches!(err(Enumerator::new(&g).threads(2)), ApiError::InvalidConfig(_)));
-        assert!(matches!(
-            err(Enumerator::new(&g).algorithm(Algorithm::Asym).anchor(Anchor::Left)),
-            ApiError::InvalidConfig(_)
-        ));
+        // A pair takes every sequential knob bTraversal takes.
+        let e = pair().order(VertexOrder::Degree).anchor(Anchor::Right).emit(EmitMode::Alternating);
+        assert_eq!(e.validate(), Ok(()));
         // Errors render.
         let msg = format!("{}", err(Enumerator::new(&g).threads(2)));
         assert!(msg.contains("threads"));
@@ -1148,10 +1103,11 @@ mod tests {
             Algorithm::LeftAnchoredOnly,
             Algorithm::BTraversal,
             Algorithm::Large,
-            Algorithm::Asym,
         ] {
             assert_eq!(algorithm.to_string().parse::<Algorithm>().unwrap(), algorithm);
         }
+        // Per-side budgets are a k_pair on btraversal, not an algorithm.
+        assert!("asym".parse::<Algorithm>().is_err());
         for engine in [Engine::Sequential, Engine::WorkSteal] {
             assert_eq!(engine.to_string().parse::<Engine>().unwrap(), engine);
         }

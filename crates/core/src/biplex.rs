@@ -1,8 +1,53 @@
-//! The k-biplex structure: representation, validity and maximality checks,
-//! and the mutable [`PartialBiplex`] used as the workhorse of the
-//! enumeration algorithms.
+//! The k-biplex structure: representation, the per-side miss budgets
+//! [`KPair`], validity and maximality checks, and the mutable
+//! [`PartialBiplex`] used as the workhorse of the enumeration algorithms.
+//!
+//! Every check takes a budget pair `(k_L, k_R)`: a left vertex may miss at
+//! most `k_L` vertices of the opposite side, a right vertex at most `k_R`.
+//! The paper's k-biplex is the symmetric pair `k_L = k_R = k`, and a plain
+//! `usize` converts into it, so symmetric callers pass `k` unchanged.
 
-use bigraph::{BipartiteGraph, Side};
+use bigraph::BipartiteGraph;
+
+/// Per-side miss budgets `(k_L, k_R)`.
+///
+/// The paper notes after Definition 2.1 that different budgets per side
+/// need only an adaptation of its techniques: a (k_L, k_R)-biplex is an
+/// induced subgraph `(L', R')` in which every left vertex misses at most
+/// `k_L` vertices of `R'` and every right vertex at most `k_R` of `L'`. The
+/// structure is hereditary, so the reverse-search framework applies as is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct KPair {
+    /// Maximum number of right-side vertices a *left* vertex may miss.
+    pub left: usize,
+    /// Maximum number of left-side vertices a *right* vertex may miss.
+    pub right: usize,
+}
+
+impl KPair {
+    /// The symmetric budget `k_L = k_R = k` of the plain k-biplex.
+    pub fn symmetric(k: usize) -> Self {
+        KPair { left: k, right: k }
+    }
+
+    /// Builds an asymmetric budget.
+    pub fn new(left: usize, right: usize) -> Self {
+        KPair { left, right }
+    }
+
+    /// Budgets as seen from the transposed graph (sides swapped).
+    pub fn transpose(self) -> Self {
+        KPair { left: self.right, right: self.left }
+    }
+}
+
+/// A plain `k` is the symmetric pair, so every function that takes
+/// `impl Into<KPair>` also takes the paper's single budget.
+impl From<usize> for KPair {
+    fn from(k: usize) -> Self {
+        KPair::symmetric(k)
+    }
+}
 
 /// An induced bipartite subgraph `(L, R)`, stored as two sorted vertex-id
 /// vectors. This is the unit reported by every enumeration algorithm in the
@@ -112,29 +157,36 @@ pub fn right_misses(g: &BipartiteGraph, u: u32, left: &[u32]) -> usize {
 }
 
 /// `true` iff `(left, right)` (both sorted) induces a k-biplex of `g`
-/// (Definition 2.1).
-pub fn is_k_biplex(g: &BipartiteGraph, left: &[u32], right: &[u32], k: usize) -> bool {
-    left.iter().all(|&v| left_misses(g, v, right) <= k)
-        && right.iter().all(|&u| right_misses(g, u, left) <= k)
+/// (Definition 2.1), or a (k_L, k_R)-biplex for a budget pair.
+pub fn is_k_biplex(g: &BipartiteGraph, left: &[u32], right: &[u32], k: impl Into<KPair>) -> bool {
+    let kp = k.into();
+    left.iter().all(|&v| left_misses(g, v, right) <= kp.left)
+        && right.iter().all(|&u| right_misses(g, u, left) <= kp.right)
 }
 
 /// `true` iff `(left, right)` is a *maximal* k-biplex of `g`
-/// (Definition 2.3): it is a k-biplex and no single vertex of `G` can be
-/// added while preserving the property. (For hereditary properties,
-/// single-vertex extensibility is equivalent to the existence of a proper
-/// superset.)
-pub fn is_maximal_k_biplex(g: &BipartiteGraph, left: &[u32], right: &[u32], k: usize) -> bool {
-    if !is_k_biplex(g, left, right, k) {
+/// (Definition 2.3), or a maximal (k_L, k_R)-biplex for a budget pair: it
+/// is one and no single vertex of `G` can be added while preserving the
+/// property. (For hereditary properties, single-vertex extensibility is
+/// equivalent to the existence of a proper superset.)
+pub fn is_maximal_k_biplex(
+    g: &BipartiteGraph,
+    left: &[u32],
+    right: &[u32],
+    k: impl Into<KPair>,
+) -> bool {
+    let kp = k.into();
+    if !is_k_biplex(g, left, right, kp) {
         return false;
     }
     let partial = PartialBiplex::from_sets(g, left, right);
     for v in 0..g.num_left() {
-        if left.binary_search(&v).is_err() && partial.can_add_left(g, v, k) {
+        if left.binary_search(&v).is_err() && partial.can_add_left(g, v, kp) {
             return false;
         }
     }
     for u in 0..g.num_right() {
-        if right.binary_search(&u).is_err() && partial.can_add_right(g, u, k) {
+        if right.binary_search(&u).is_err() && partial.can_add_right(g, u, kp) {
             return false;
         }
     }
@@ -190,11 +242,6 @@ impl PartialBiplex {
         PartialBiplex { left, right, left_miss, right_miss }
     }
 
-    /// Builds from an existing [`Biplex`].
-    pub fn from_biplex(g: &BipartiteGraph, b: &Biplex) -> Self {
-        Self::from_sets(g, &b.left, &b.right)
-    }
-
     /// Sorted left vertices.
     pub fn left(&self) -> &[u32] {
         &self.left
@@ -226,21 +273,22 @@ impl PartialBiplex {
     }
 
     /// `true` iff the working solution currently satisfies the k-biplex
-    /// condition.
-    pub fn is_k_biplex(&self, k: usize) -> bool {
-        self.left_miss.iter().all(|&m| m as usize <= k)
-            && self.right_miss.iter().all(|&m| m as usize <= k)
+    /// (or (k_L, k_R)-biplex) condition.
+    pub fn is_k_biplex(&self, k: impl Into<KPair>) -> bool {
+        let kp = k.into();
+        self.left_miss.iter().all(|&m| m as usize <= kp.left)
+            && self.right_miss.iter().all(|&m| m as usize <= kp.right)
     }
 
     /// Checks whether left vertex `v ∉ L` can be added while keeping the
-    /// k-biplex property: `v` must miss at most `k` vertices of `R`, and no
-    /// right vertex that misses `v` may already be at its budget `k`.
-    pub fn can_add_left(&self, g: &BipartiteGraph, v: u32, k: usize) -> bool {
+    /// budgets: `v` must miss at most `k_L` vertices of `R`, and no right
+    /// vertex that misses `v` may already be at its budget `k_R`.
+    pub fn can_add_left(&self, g: &BipartiteGraph, v: u32, k: impl Into<KPair>) -> bool {
         // Kernel-counted misses first: most candidates either miss nothing
         // (no budgets to re-check) or bust their own budget outright, and
         // the counting kernels beat the budget walk.
         let misses = left_misses(g, v, &self.right);
-        self.can_add_left_with_misses(g, v, misses, k)
+        self.can_add_left_with_misses(g, v, misses, k.into())
     }
 
     /// [`can_add_left`](Self::can_add_left) for a vertex whose miss count
@@ -251,24 +299,26 @@ impl PartialBiplex {
         g: &BipartiteGraph,
         v: u32,
         misses: usize,
-        k: usize,
+        kp: KPair,
     ) -> bool {
         debug_assert!(!self.contains_left(v));
-        if misses > k {
+        if misses > kp.left {
             return false;
         }
-        // 1..=k misses: the right vertices that would gain a miss must be
-        // below their budget.
+        // 1..=k_L misses: the right vertices that would gain a miss must be
+        // below their budget k_R.
         misses == 0
             || miss_positions(&self.right, g.left_neighbors(v))
                 .take(misses)
-                .all(|ri| (self.right_miss[ri] as usize) < k)
+                .all(|ri| (self.right_miss[ri] as usize) < kp.right)
     }
 
-    /// Symmetric to [`can_add_left`](Self::can_add_left) for a right vertex.
-    pub fn can_add_right(&self, g: &BipartiteGraph, u: u32, k: usize) -> bool {
+    /// Symmetric to [`can_add_left`](Self::can_add_left) for a right vertex:
+    /// `u` may miss at most `k_R` vertices of `L`, and no left vertex that
+    /// misses `u` may already be at its budget `k_L`.
+    pub fn can_add_right(&self, g: &BipartiteGraph, u: u32, k: impl Into<KPair>) -> bool {
         let misses = right_misses(g, u, &self.left);
-        self.can_add_right_with_misses(g, u, misses, k)
+        self.can_add_right_with_misses(g, u, misses, k.into())
     }
 
     /// Symmetric to [`can_add_left_with_misses`](Self::can_add_left_with_misses).
@@ -277,24 +327,16 @@ impl PartialBiplex {
         g: &BipartiteGraph,
         u: u32,
         misses: usize,
-        k: usize,
+        kp: KPair,
     ) -> bool {
         debug_assert!(!self.contains_right(u));
-        if misses > k {
+        if misses > kp.right {
             return false;
         }
         misses == 0
             || miss_positions(&self.left, g.right_neighbors(u))
                 .take(misses)
-                .all(|li| (self.left_miss[li] as usize) < k)
-    }
-
-    /// Side-dispatching version of the `can_add_*` checks.
-    pub fn can_add(&self, g: &BipartiteGraph, side: Side, id: u32, k: usize) -> bool {
-        match side {
-            Side::Left => self.can_add_left(g, id, k),
-            Side::Right => self.can_add_right(g, id, k),
-        }
+                .all(|li| (self.left_miss[li] as usize) < kp.left)
     }
 
     /// Adds left vertex `v`, updating all miss counters. The caller is
@@ -342,14 +384,6 @@ impl PartialBiplex {
         }
     }
 
-    /// Side-dispatching insertion.
-    pub fn add(&mut self, g: &BipartiteGraph, side: Side, id: u32) {
-        match side {
-            Side::Left => self.add_left(g, id),
-            Side::Right => self.add_right(g, id),
-        }
-    }
-
     /// Removes left vertex `v` (if present), updating all miss counters.
     pub fn remove_left(&mut self, g: &BipartiteGraph, v: u32) {
         let pos = match self.left.binary_search(&v) {
@@ -384,6 +418,7 @@ impl PartialBiplex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bigraph::Side;
 
     fn fixture() -> BipartiteGraph {
         // L = {0..3}, R = {0..3}; complete except (0,3), (1,2), (3,0), (3,1).
@@ -421,6 +456,11 @@ mod tests {
         // Empty sides are always k-biplexes.
         assert!(is_k_biplex(&g, &[], &[], 0));
         assert!(is_k_biplex(&g, &[0, 1], &[], 0));
+        // Per-side budgets: v3 misses two right vertices, every right
+        // vertex misses one left vertex.
+        assert!(is_k_biplex(&g, &[0, 1, 2, 3], &[0, 1, 2, 3], KPair::new(2, 1)));
+        assert!(!is_k_biplex(&g, &[0, 1, 2, 3], &[0, 1, 2, 3], KPair::new(1, 2)));
+        assert!(!is_k_biplex(&g, &[0, 1, 2, 3], &[0, 1, 2, 3], KPair::new(2, 0)));
     }
 
     #[test]
@@ -432,6 +472,10 @@ mod tests {
         assert!(!is_maximal_k_biplex(&g, &[0, 1, 2], &[0, 1, 2, 3], 2));
         // Not even a k-biplex -> not maximal.
         assert!(!is_maximal_k_biplex(&g, &[0, 1, 2, 3], &[0, 1, 2, 3], 1));
+        // Under (k_L, k_R) = (2, 1) the whole graph is the one maximal
+        // solution; dropping v3 leaves room for it.
+        assert!(is_maximal_k_biplex(&g, &[0, 1, 2, 3], &[0, 1, 2, 3], KPair::new(2, 1)));
+        assert!(!is_maximal_k_biplex(&g, &[0, 1, 2], &[0, 1, 2, 3], KPair::new(2, 1)));
     }
 
     #[test]
@@ -459,7 +503,10 @@ mod tests {
             (Side::Left, 3),
         ];
         for (side, id) in additions {
-            p.add(&g, side, id);
+            match side {
+                Side::Left => p.add_left(&g, id),
+                Side::Right => p.add_right(&g, id),
+            }
             let fresh = PartialBiplex::from_sets(&g, p.left(), p.right());
             assert_eq!(p.left_miss, fresh.left_miss);
             assert_eq!(p.right_miss, fresh.right_miss);
@@ -491,7 +538,7 @@ mod tests {
         assert!(p.can_add_right(&g, 2, 1));
         // With k = 0, u2 cannot join because it misses v1.
         assert!(!p.can_add_right(&g, 2, 0));
-        assert!(p.can_add(&g, Side::Right, 3, 1));
+        assert!(p.can_add_right(&g, 3, 1));
     }
 
     #[test]
@@ -509,6 +556,23 @@ mod tests {
         assert!(p.can_add_left(&g, 1, 1));
         // With k = 0 nothing that introduces a miss can be added.
         assert!(!p.can_add_right(&g, 0, 0));
+        // u0 would miss v3 (u0's own budget is k_R) and charge v3 one miss
+        // (v3's budget is k_L): both sides of the pair must allow it.
+        assert!(p.can_add_right(&g, 0, KPair::new(1, 1)));
+        assert!(!p.can_add_right(&g, 0, KPair::new(1, 0)));
+        assert!(!p.can_add_right(&g, 0, KPair::new(0, 1)));
+        // v1 misses u2 (its own budget k_L) and charges u2 (budget k_R).
+        assert!(!p.can_add_left(&g, 1, KPair::new(0, 1)));
+        assert!(!p.can_add_left(&g, 1, KPair::new(1, 0)));
+    }
+
+    #[test]
+    fn kpair_helpers() {
+        let kp = KPair::new(1, 3);
+        assert_eq!(kp.transpose(), KPair::new(3, 1));
+        assert_eq!(kp.transpose().transpose(), kp);
+        assert_eq!(KPair::symmetric(2), KPair::new(2, 2));
+        assert_eq!(KPair::from(2usize), KPair::symmetric(2));
     }
 
     #[test]

@@ -3,17 +3,20 @@
 //! Exponential in the graph size and only usable for tiny graphs; it serves
 //! as the *test oracle* that every traversal configuration and every
 //! baseline is cross-validated against, and as a readable executable
-//! specification of Definitions 2.1–2.3.
+//! specification of Definitions 2.1–2.3. It uses no engine code: subset
+//! enumeration over [`is_k_biplex`], under a plain `k` or a budget pair.
 
 use bigraph::BipartiteGraph;
 
-use crate::biplex::{is_k_biplex, Biplex};
+use crate::biplex::{is_k_biplex, Biplex, KPair};
 
-/// Enumerates every maximal k-biplex of `g` by checking all `2^{|L|+|R|}`
+/// Enumerates every maximal k-biplex of `g` (every maximal
+/// (k_L, k_R)-biplex for a budget pair) by checking all `2^{|L|+|R|}`
 /// vertex subsets. Panics if either side has more than 16 vertices.
 ///
 /// The result is sorted canonically and duplicate-free.
-pub fn brute_force_mbps(g: &BipartiteGraph, k: usize) -> Vec<Biplex> {
+pub fn brute_force_mbps(g: &BipartiteGraph, k: impl Into<KPair>) -> Vec<Biplex> {
+    let kp = k.into();
     let nl = g.num_left() as usize;
     let nr = g.num_right() as usize;
     assert!(nl <= 16 && nr <= 16, "brute force is only meant for tiny graphs");
@@ -24,7 +27,7 @@ pub fn brute_force_mbps(g: &BipartiteGraph, k: usize) -> Vec<Biplex> {
         let left: Vec<u32> = (0..nl as u32).filter(|&v| lmask & (1 << v) != 0).collect();
         for rmask in 0u32..(1 << nr) {
             let right: Vec<u32> = (0..nr as u32).filter(|&u| rmask & (1 << u) != 0).collect();
-            if is_k_biplex(g, &left, &right, k) {
+            if is_k_biplex(g, &left, &right, kp) {
                 biplexes.push(Biplex { left: left.clone(), right });
             }
         }
@@ -71,11 +74,12 @@ mod tests {
     #[test]
     fn results_are_maximal_k_biplexes() {
         let g = small_graph();
-        for k in 0..=2 {
-            let all = brute_force_mbps(&g, k);
+        let pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 0)];
+        for kp in pairs.map(|(kl, kr)| KPair::new(kl, kr)) {
+            let all = brute_force_mbps(&g, kp);
             assert!(!all.is_empty());
             for b in &all {
-                assert!(is_maximal_k_biplex(&g, &b.left, &b.right, k), "k {k} {b:?}");
+                assert!(is_maximal_k_biplex(&g, &b.left, &b.right, kp), "{kp:?} {b:?}");
             }
         }
     }

@@ -18,6 +18,12 @@
 //! others are compared at the procedure level (`fig12_enumalmostsat`, the
 //! `enumalmostsat` bench), which is what Figure 12 measures.
 //!
+//! The refined variants also take per-side budgets `(k_L, k_R)`: the new
+//! vertex's budget `k_L` bounds how many of its non-neighbours a local
+//! solution keeps, and `k_R` decides which of those are saturated (see
+//! [`refined`]). `Inflation` handles the symmetric budget only: a k-biplex
+//! is a (k+1)-plex of the inflated graph, and no plex covers two budgets.
+//!
 //! New vertices on the *right* side (needed by `bTraversal`, which forms
 //! almost-satisfying graphs from both sides) are handled by the caller via
 //! the transposed graph and [`PartialBiplex::flipped`] (see the shared
@@ -28,7 +34,7 @@ pub mod refined;
 
 use bigraph::BipartiteGraph;
 
-use crate::biplex::{Biplex, PartialBiplex};
+use crate::biplex::{Biplex, KPair, PartialBiplex};
 
 /// Which `EnumAlmostSat` implementation to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -86,17 +92,19 @@ impl AlmostSatStats {
 
 /// Enumerates the local solutions of the almost-satisfying graph
 /// `(host.left ∪ {v}, host.right)` where `v` is a **left** vertex of `g`
-/// not contained in `host.left`, and `host` is a k-biplex of `g`.
+/// not contained in `host.left`, and `host` is a k-biplex of `g` (a
+/// (k_L, k_R)-biplex for a budget pair).
 ///
 /// Each local solution is passed to `emit` (its left side contains `v`).
 /// `emit` returns `false` to stop the enumeration early (propagating the
 /// caller's "first N results" cut-off into the innermost loops, which is
 /// what keeps the delay small in practice).
 ///
-/// Returns the per-invocation statistics.
+/// Returns the per-invocation statistics. Panics if `kind` is
+/// [`EnumKind::Inflation`] and the budgets differ.
 pub fn enum_almost_sat<F>(
     g: &BipartiteGraph,
-    k: usize,
+    k: impl Into<KPair>,
     kind: EnumKind,
     host: &PartialBiplex,
     v: u32,
@@ -105,11 +113,15 @@ pub fn enum_almost_sat<F>(
 where
     F: FnMut(Biplex) -> bool,
 {
+    let kp = k.into();
     debug_assert!(!host.contains_left(v), "v must be outside the host solution");
-    debug_assert!(host.is_k_biplex(k), "the host must be a k-biplex");
+    debug_assert!(host.is_k_biplex(kp), "the host must be within the budgets");
     match kind {
-        EnumKind::Inflation => inflation::enumerate(g, k, host, v, emit),
-        _ => refined::enumerate(g, k, kind, host, v, emit),
+        EnumKind::Inflation => {
+            assert_eq!(kp.left, kp.right, "inflation only encodes a symmetric budget");
+            inflation::enumerate(g, kp.left, host, v, emit)
+        }
+        _ => refined::enumerate(g, kp, kind, host, v, emit),
     }
 }
 
@@ -117,7 +129,7 @@ where
 /// small harness utilities).
 pub fn collect_local_solutions(
     g: &BipartiteGraph,
-    k: usize,
+    k: impl Into<KPair>,
     kind: EnumKind,
     host: &PartialBiplex,
     v: u32,
@@ -132,32 +144,34 @@ pub fn collect_local_solutions(
 
 /// Reference implementation used by tests: checks whether `(left, right)`
 /// is a local solution of the almost-satisfying graph
-/// `(host_left ∪ {v}, host_right)` — i.e. a k-biplex containing `v` that is
-/// maximal with respect to adding any vertex of the almost-satisfying graph.
+/// `(host_left ∪ {v}, host_right)` — i.e. a k-biplex (or (k_L, k_R)-biplex)
+/// containing `v` that is maximal with respect to adding any vertex of the
+/// almost-satisfying graph.
 pub fn is_local_solution(
     g: &BipartiteGraph,
-    k: usize,
+    k: impl Into<KPair>,
     host_left: &[u32],
     host_right: &[u32],
     v: u32,
     left: &[u32],
     right: &[u32],
 ) -> bool {
+    let kp = k.into();
     if !left.contains(&v) {
         return false;
     }
-    if !crate::biplex::is_k_biplex(g, left, right, k) {
+    if !crate::biplex::is_k_biplex(g, left, right, kp) {
         return false;
     }
     let partial = PartialBiplex::from_sets(g, left, right);
     // Maximality within the almost-satisfying universe.
     for &w in host_left.iter().chain(std::iter::once(&v)) {
-        if !partial.contains_left(w) && partial.can_add_left(g, w, k) {
+        if !partial.contains_left(w) && partial.can_add_left(g, w, kp) {
             return false;
         }
     }
     for &u in host_right {
-        if !partial.contains_right(u) && partial.can_add_right(g, u, k) {
+        if !partial.contains_right(u) && partial.can_add_right(g, u, kp) {
             return false;
         }
     }
@@ -169,12 +183,13 @@ pub fn is_local_solution(
 /// hosts) and keeps the local solutions.
 pub fn brute_force_local_solutions(
     g: &BipartiteGraph,
-    k: usize,
+    k: impl Into<KPair>,
     host_left: &[u32],
     host_right: &[u32],
     v: u32,
 ) -> Vec<Biplex> {
     assert!(host_left.len() <= 12 && host_right.len() <= 12);
+    let kp = k.into();
     let mut out = Vec::new();
     for lmask in 0u32..(1 << host_left.len()) {
         let mut left: Vec<u32> = host_left
@@ -190,7 +205,7 @@ pub fn brute_force_local_solutions(
                 .enumerate()
                 .filter_map(|(i, &u)| (rmask & (1 << i) != 0).then_some(u))
                 .collect();
-            if is_local_solution(g, k, host_left, host_right, v, &left, &right) {
+            if is_local_solution(g, kp, host_left, host_right, v, &left, &right) {
                 out.push(Biplex::new(left.clone(), right));
             }
         }
@@ -220,45 +235,60 @@ mod tests {
         BipartiteGraph::from_edges(nl, nr, &edges).unwrap()
     }
 
-    /// Builds a random host solution: a maximal k-biplex of the graph.
-    fn random_host(g: &BipartiteGraph, k: usize, seed: u64) -> PartialBiplex {
+    /// Builds a random host solution: a maximal k-biplex (or
+    /// (k_L, k_R)-biplex) of the graph.
+    fn random_host(g: &BipartiteGraph, k: impl Into<KPair>, seed: u64) -> PartialBiplex {
         use crate::extend::{extend_to_maximal, ExtendMode};
+        let kp = k.into();
         let mut rng = StdRng::seed_from_u64(seed);
         let v = rng.gen_range(0..g.num_left());
         let u = rng.gen_range(0..g.num_right());
-        let mut p = if g.has_edge(v, u) || k >= 1 {
+        let mut p = if g.has_edge(v, u) || (kp.left >= 1 && kp.right >= 1) {
             PartialBiplex::from_sets(g, &[v], &[u])
         } else {
             PartialBiplex::from_sets(g, &[v], &[])
         };
-        extend_to_maximal(g, &mut p, k, ExtendMode::BothSides);
+        extend_to_maximal(g, &mut p, kp, ExtendMode::BothSides);
         p
     }
 
     #[test]
     fn every_refined_variant_matches_the_brute_force_oracle() {
+        let pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)];
         for seed in 0..25u64 {
             let g = random_graph(6, 6, 0.55, seed);
-            for k in 0..=2usize {
-                let host = random_host(&g, k, seed * 31 + k as u64);
+            for (i, kp) in pairs.map(|(kl, kr)| KPair::new(kl, kr)).into_iter().enumerate() {
+                let host = random_host(&g, kp, seed * 31 + i as u64);
                 // Pick a left vertex outside the host, if any.
                 let v = (0..g.num_left()).find(|&v| !host.contains_left(v));
                 let Some(v) = v else { continue };
-                let expected = brute_force_local_solutions(&g, k, host.left(), host.right(), v);
+                let expected = brute_force_local_solutions(&g, kp, host.left(), host.right(), v);
                 for kind in EnumKind::ALL {
-                    let (mut got, _) = collect_local_solutions(&g, k, kind, &host, v);
+                    // Inflation encodes one budget for both sides.
+                    if kind == EnumKind::Inflation && kp.left != kp.right {
+                        continue;
+                    }
+                    let (mut got, _) = collect_local_solutions(&g, kp, kind, &host, v);
                     got.sort();
                     got.dedup();
                     assert_eq!(
                         got,
                         expected,
-                        "seed {seed} k {k} kind {kind:?} host=({:?},{:?}) v={v}",
+                        "seed {seed} {kp:?} kind {kind:?} host=({:?},{:?}) v={v}",
                         host.left(),
                         host.right()
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric budget")]
+    fn inflation_rejects_asymmetric_budgets() {
+        let g = random_graph(4, 4, 0.5, 3);
+        let host = PartialBiplex::from_sets(&g, &[], &[]);
+        enum_almost_sat(&g, KPair::new(1, 2), EnumKind::Inflation, &host, 0, |_| true);
     }
 
     #[test]

@@ -20,17 +20,26 @@
 //!    almost-satisfying graph so that each candidate costs `O(k²)` after an
 //!    `O(Σ deg)` per-invocation precomputation (rather than the naive
 //!    `O(|L|·|R|)` bound used in the paper's analysis).
+//!
+//! Per-side budgets `(k_L, k_R)` need no other change than putting each
+//! budget where it belongs. `v` is a left vertex, so `k_L` bounds `|R''|`:
+//! it sizes cases A and B, Lemma 4.2's doomed combinations (`|R''| < k_L`)
+//! and the right-maximality test (c). The members of `R` are right
+//! vertices, so `k_R` splits `R¹` (`δ̄(u,L) < k_R`) from `R²`
+//! (`δ̄(u,L) = k_R`), which fixes the violators of Lemma 4.3 and with them
+//! the left-maximality test (b). With `k_L = k_R = k` this is the paper's
+//! procedure.
 
 use bigraph::BipartiteGraph;
 
-use crate::biplex::{Biplex, PartialBiplex};
+use crate::biplex::{Biplex, KPair, PartialBiplex};
 
 use super::{AlmostSatStats, EnumKind};
 
 /// Runs the refined enumeration. See the module documentation.
 pub(super) fn enumerate<F>(
     g: &BipartiteGraph,
-    k: usize,
+    kp: KPair,
     kind: EnumKind,
     host: &PartialBiplex,
     v: u32,
@@ -59,9 +68,13 @@ where
         }
     }
 
-    // R¹ (slack remaining) and R² (saturated) within R_enum.
-    let r1: Vec<u32> = r_enum.iter().filter(|&&(_, m)| (m as usize) < k).map(|&(u, _)| u).collect();
-    let r2: Vec<u32> = r_enum.iter().filter(|&&(_, m)| m as usize == k).map(|&(u, _)| u).collect();
+    // v's budget k_L bounds |R''|.
+    let k = kp.left;
+    // R¹ (slack remaining) and R² (saturated at k_R) within R_enum.
+    let r1: Vec<u32> =
+        r_enum.iter().filter(|&&(_, m)| (m as usize) < kp.right).map(|&(u, _)| u).collect();
+    let r2: Vec<u32> =
+        r_enum.iter().filter(|&&(_, m)| m as usize == kp.right).map(|&(u, _)| u).collect();
 
     // Precompute |N(w) ∩ R²| for every host-left vertex `w` (by position in
     // host.left()). Used by the O(k²) right-maximality test.
@@ -89,8 +102,8 @@ where
     // ---- Step 2: enumerate R'' combinations --------------------------------
     let mut stopped = false;
     if r2_refined {
-        // Case A: R''₁ = R¹ entirely (possible only when |R¹| ≤ k), any
-        // R''₂ with |R¹| + |R''₂| ≤ k.
+        // Case A: R''₁ = R¹ entirely (possible only when |R¹| ≤ k_L), any
+        // R''₂ with |R¹| + |R''₂| ≤ k_L.
         if r1.len() <= k && !stopped {
             let budget = k - r1.len();
             for s2 in 0..=budget.min(r2.len()) {
@@ -106,7 +119,7 @@ where
                 });
             }
         }
-        // Case B: |R''| = k with a proper subset of R¹.
+        // Case B: |R''| = k_L with a proper subset of R¹.
         for t1 in 0..=k.min(r1.len()) {
             if stopped {
                 break;
@@ -132,7 +145,7 @@ where
             });
         }
     } else {
-        // R1.0: every subset of R_enum with at most k vertices, split into
+        // R1.0: every subset of R_enum with at most k_L vertices, split into
         // its R¹ / R² parts for the downstream processing.
         let all: Vec<u32> = r_enum.iter().map(|&(u, _)| u).collect();
         let is_r2: std::collections::HashSet<u32> = r2.iter().copied().collect();
@@ -165,6 +178,7 @@ where
 /// Shared, read-only context for processing one `R''` combination.
 struct ComboContext<'a> {
     g: &'a BipartiteGraph,
+    /// The new vertex's budget `k_L`: the bound on `|R''|`.
     k: usize,
     l2: bool,
     host: &'a PartialBiplex,
@@ -194,7 +208,7 @@ impl ComboContext<'_> {
 
         let total = r1_part.len() + r2_part.len();
         debug_assert!(total <= k);
-        // Lemma 4.2: if |R''| < k and some R¹ vertex is left out, that
+        // Lemma 4.2: if |R''| < k_L and some R¹ vertex is left out, that
         // vertex can always be added to any candidate, so no local solution
         // exists for this R'. The R2.0 generation never produces such
         // combinations; under R1.0 they are produced and every candidate is
@@ -279,7 +293,7 @@ impl ComboContext<'_> {
 
         // (b) Left maximality: every removed vertex must be blocked from
         // re-insertion, i.e. some violator u misses w and no *other* removed
-        // vertex (u stays saturated at k once w returns).
+        // vertex (u stays saturated at k_R once w returns).
         for &w in removal {
             let blocked = v2.iter().any(|&u| {
                 !g.has_edge(w, u) && removal.iter().all(|&w2| w2 == w || g.has_edge(w2, u))
@@ -289,8 +303,8 @@ impl ComboContext<'_> {
             }
         }
 
-        // (c) Right maximality. When |R''| = k, the new vertex v is
-        // saturated and no further right vertex fits. Otherwise (|R''| < k)
+        // (c) Right maximality. When |R''| = k_L, the new vertex v is
+        // saturated and no further right vertex fits. Otherwise (|R''| < k_L)
         // a left-out R¹ vertex is always addable (handled by the caller via
         // `doomed`), and a left-out R² vertex is addable iff one of its
         // non-neighbours was removed.

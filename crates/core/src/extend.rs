@@ -11,8 +11,10 @@
 //! step.
 //!
 //! Only a vertex with at least `|S| − k` neighbours in the opposite side
-//! `S` can join, so each pass first filters its side by counting. For
-//! `k ≥ 1` the counting is one dense occurrence tally per thread: every id
+//! `S` can join, so each pass first filters its side by counting, with the
+//! budget of the side it draws from: `k_L` for left vertices, `k_R` for
+//! right ones (the symmetric k-biplex has `k_L = k_R = k`). For `k ≥ 1`
+//! the counting is one dense occurrence tally per thread: every id
 //! of every neighbour list of `S` bumps its counter, and the ids that reach
 //! `|S| − k` are the candidates. The tally keeps each candidate's hit count
 //! `|N(v) ∩ S|`, and `S` does not change during the pass, so the pass knows
@@ -24,7 +26,7 @@ use std::cell::RefCell;
 use bigraph::intersect::intersection_into;
 use bigraph::BipartiteGraph;
 
-use crate::biplex::PartialBiplex;
+use crate::biplex::{KPair, PartialBiplex};
 
 /// Which sides the extension step is allowed to draw new vertices from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -158,9 +160,10 @@ fn count_candidates<'a, I: Iterator<Item = &'a [u32]>>(
     })
 }
 
-/// Extends `partial` (which must already be a k-biplex) to a maximal
-/// k-biplex of `g` in place, following the preset order. `mode` selects
-/// which sides may contribute new vertices.
+/// Extends `partial` (which must already be a k-biplex, or a
+/// (k_L, k_R)-biplex for a budget pair) to a maximal one of `g` in place,
+/// following the preset order. `mode` selects which sides may contribute
+/// new vertices.
 ///
 /// Each pass draws its candidates from the counting filter and keeps the
 /// opposite side fixed while it adds, so a candidate's hit count gives its
@@ -169,19 +172,20 @@ fn count_candidates<'a, I: Iterator<Item = &'a [u32]>>(
 pub fn extend_to_maximal(
     g: &BipartiteGraph,
     partial: &mut PartialBiplex,
-    k: usize,
+    k: impl Into<KPair>,
     mode: ExtendMode,
 ) {
-    debug_assert!(partial.is_k_biplex(k));
+    let kp = k.into();
+    debug_assert!(partial.is_k_biplex(kp));
 
     // Left side first (ascending id), then — for BothSides — the right side.
     let r = partial.right().len();
-    if r <= k {
-        extend_left_small_right(g, partial, k);
+    if r <= kp.left {
+        extend_left_small_right(g, partial, kp);
     } else {
-        for (v, hits) in left_extension_candidates(g, partial.right(), k) {
+        for (v, hits) in left_extension_candidates(g, partial.right(), kp.left) {
             let misses = r - hits as usize;
-            if !partial.contains_left(v) && partial.can_add_left_with_misses(g, v, misses, k) {
+            if !partial.contains_left(v) && partial.can_add_left_with_misses(g, v, misses, kp) {
                 partial.add_left_with_misses(g, v, misses);
             }
         }
@@ -189,9 +193,9 @@ pub fn extend_to_maximal(
 
     if mode == ExtendMode::BothSides {
         let l = partial.left().len();
-        for (u, hits) in right_extension_candidates(g, partial.left(), k) {
+        for (u, hits) in right_extension_candidates(g, partial.left(), kp.right) {
             let misses = l - hits as usize;
-            if !partial.contains_right(u) && partial.can_add_right_with_misses(g, u, misses, k) {
+            if !partial.contains_right(u) && partial.can_add_right_with_misses(g, u, misses, kp) {
                 partial.add_right_with_misses(g, u, misses);
             }
         }
@@ -200,32 +204,33 @@ pub fn extend_to_maximal(
     }
 }
 
-/// Left extension for the degenerate regime `|R| ≤ k`, where *every* left
-/// vertex passes the counting filter. While no right vertex is saturated
-/// (miss count `= k`) every left vertex is addable, so vertices are taken in
-/// id order without any check; as soon as some right vertex saturates, only
-/// neighbours of that vertex can still join, so the scan switches to its
-/// adjacency list instead of walking the whole left side. This keeps the
-/// extension near-linear in the output size on graphs with millions of
-/// vertices.
-fn extend_left_small_right(g: &BipartiteGraph, partial: &mut PartialBiplex, k: usize) {
+/// Left extension for the degenerate regime `|R| ≤ k_L`, where *every*
+/// left vertex passes the counting filter. While no right vertex is
+/// saturated (miss count `= k_R`) every left vertex is addable, so vertices
+/// are taken in id order without any check; as soon as some right vertex
+/// saturates, only neighbours of that vertex can still join, so the scan
+/// switches to its adjacency list instead of walking the whole left side.
+/// This keeps the extension near-linear in the output size on graphs with
+/// millions of vertices.
+fn extend_left_small_right(g: &BipartiteGraph, partial: &mut PartialBiplex, kp: KPair) {
     let num_left = g.num_left();
     let mut v = 0u32;
     // Phase 1: no right vertex saturated yet.
     while v < num_left {
-        if let Some(idx) = (0..partial.right().len()).find(|&i| partial.right_miss(i) as usize >= k)
+        if let Some(idx) =
+            (0..partial.right().len()).find(|&i| partial.right_miss(i) as usize >= kp.right)
         {
             // Phase 2: only neighbours of the saturated vertex qualify.
             let anchor = partial.right()[idx];
             let nbrs = g.right_neighbors(anchor).to_vec();
             for w in nbrs {
-                if w >= v && !partial.contains_left(w) && partial.can_add_left(g, w, k) {
+                if w >= v && !partial.contains_left(w) && partial.can_add_left(g, w, kp) {
                     partial.add_left(g, w);
                 }
             }
             return;
         }
-        if !partial.contains_left(v) && partial.can_add_left(g, v, k) {
+        if !partial.contains_left(v) && partial.can_add_left(g, v, kp) {
             partial.add_left(g, v);
         }
         v += 1;
@@ -254,15 +259,18 @@ mod tests {
     #[test]
     fn extension_produces_a_maximal_biplex() {
         let g = fixture();
-        for k in 0..=2usize {
-            let mut p = PartialBiplex::from_sets(&g, &[0], &[0]);
-            extend_to_maximal(&g, &mut p, k, ExtendMode::BothSides);
-            assert!(
-                is_maximal_k_biplex(&g, p.left(), p.right(), k),
-                "k = {k}, got ({:?}, {:?})",
-                p.left(),
-                p.right()
-            );
+        let pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1), (0, 2)];
+        for kp in pairs.map(|(kl, kr)| KPair::new(kl, kr)) {
+            for start in [(vec![0u32], vec![0u32]), (vec![], vec![4]), (vec![4], vec![])] {
+                let mut p = PartialBiplex::from_sets(&g, &start.0, &start.1);
+                extend_to_maximal(&g, &mut p, kp, ExtendMode::BothSides);
+                assert!(
+                    is_maximal_k_biplex(&g, p.left(), p.right(), kp),
+                    "{kp:?} from {start:?}, got ({:?}, {:?})",
+                    p.left(),
+                    p.right()
+                );
+            }
         }
     }
 

@@ -4,51 +4,42 @@
 //!   greedily extending the empty subgraph in the preset order.
 //! * `iTraversal` starts from the designated solution `H0 = (L0, R)` where
 //!   `R` is the whole right side and `L0` is any maximal left set keeping
-//!   `(L0, R)` a k-biplex (Section 3.2). The symmetric option `(L, R0)` is
-//!   provided for the "right-anchored" comparison of Section 6.2.
+//!   `(L0, R)` a k-biplex (Section 3.2). The symmetric start `(L, R0)` of
+//!   the right-anchored comparison (Section 6.2) is `H0` on the transposed
+//!   graph, which is how the facade runs that variant.
+//!
+//! Both take a budget pair `(k_L, k_R)` or a plain `k`.
 
 use bigraph::BipartiteGraph;
 
-use crate::biplex::{Biplex, PartialBiplex};
+use crate::biplex::{Biplex, KPair, PartialBiplex};
 use crate::extend::{extend_to_maximal, ExtendMode};
 
 /// Builds the designated initial solution `H0 = (L0, R)` of `iTraversal`:
 /// the right side is the whole of `R`, and left vertices are added greedily
-/// in ascending id order while the k-biplex property holds.
+/// in ascending id order while the budgets hold.
 ///
-/// Only left vertices with degree at least `|R| − k` can possibly join, so
-/// the candidates are pre-filtered by degree — this keeps the construction
-/// linear in practice even on graphs with millions of vertices.
-pub fn initial_left_anchored(g: &BipartiteGraph, k: usize) -> Biplex {
+/// Only left vertices with degree at least `|R| − k_L` can possibly join,
+/// so the candidates are pre-filtered by degree — this keeps the
+/// construction linear in practice even on graphs with millions of
+/// vertices.
+pub fn initial_left_anchored(g: &BipartiteGraph, k: impl Into<KPair>) -> Biplex {
+    let kp = k.into();
     let all_right: Vec<u32> = (0..g.num_right()).collect();
     let mut partial = PartialBiplex::from_sets(g, &[], &all_right);
-    let need = (g.num_right() as usize).saturating_sub(k);
+    let need = (g.num_right() as usize).saturating_sub(kp.left);
     for v in 0..g.num_left() {
-        if g.left_degree(v) >= need && partial.can_add_left(g, v, k) {
+        if g.left_degree(v) >= need && partial.can_add_left(g, v, kp) {
             partial.add_left(g, v);
         }
     }
     partial.to_biplex()
 }
 
-/// The symmetric initial solution `H0' = (L, R0)` (all left vertices, plus a
-/// maximal set of right vertices).
-pub fn initial_right_anchored(g: &BipartiteGraph, k: usize) -> Biplex {
-    let all_left: Vec<u32> = (0..g.num_left()).collect();
-    let mut partial = PartialBiplex::from_sets(g, &all_left, &[]);
-    let need = (g.num_left() as usize).saturating_sub(k);
-    for u in 0..g.num_right() {
-        if g.right_degree(u) >= need && partial.can_add_right(g, u, k) {
-            partial.add_right(g, u);
-        }
-    }
-    partial.to_biplex()
-}
-
-/// An arbitrary maximal k-biplex, built by greedily extending the empty
-/// subgraph in the preset order — the initial solution used by
-/// `bTraversal` (Algorithm 1 line 1).
-pub fn initial_arbitrary(g: &BipartiteGraph, k: usize) -> Biplex {
+/// An arbitrary maximal k-biplex (or (k_L, k_R)-biplex), built by greedily
+/// extending the empty subgraph in the preset order — the initial solution
+/// used by `bTraversal` (Algorithm 1 line 1).
+pub fn initial_arbitrary(g: &BipartiteGraph, k: impl Into<KPair>) -> Biplex {
     let mut partial = PartialBiplex::new();
     extend_to_maximal(g, &mut partial, k, ExtendMode::BothSides);
     partial.to_biplex()
@@ -83,9 +74,12 @@ mod tests {
 
     #[test]
     fn right_anchored_initial_contains_all_of_l_and_is_maximal() {
+        // The right-anchored start H0' = (L, R0) is H0 on the transpose,
+        // which is how the facade builds it.
         let g = fixture();
+        let t = g.transpose();
         for k in 0..=2usize {
-            let h0 = initial_right_anchored(&g, k);
+            let h0 = initial_left_anchored(&t, k).transpose();
             assert_eq!(h0.left.len(), g.num_left() as usize, "k = {k}");
             assert!(is_maximal_k_biplex(&g, &h0.left, &h0.right, k), "k = {k}");
         }
@@ -98,6 +92,13 @@ mod tests {
             let h0 = initial_arbitrary(&g, k);
             assert!(is_maximal_k_biplex(&g, &h0.left, &h0.right, k), "k = {k}");
             assert!(!h0.is_empty());
+        }
+        for kp in [KPair::new(0, 1), KPair::new(1, 0), KPair::new(1, 2), KPair::new(2, 1)] {
+            let h0 = initial_arbitrary(&g, kp);
+            assert!(is_maximal_k_biplex(&g, &h0.left, &h0.right, kp), "{kp:?}");
+            let h0 = initial_left_anchored(&g, kp);
+            assert_eq!(h0.right.len(), g.num_right() as usize, "{kp:?}");
+            assert!(is_maximal_k_biplex(&g, &h0.left, &h0.right, kp), "{kp:?}");
         }
     }
 
@@ -123,14 +124,17 @@ mod tests {
 
     #[test]
     fn transposed_symmetry() {
-        // Right-anchored on g should equal left-anchored on the transpose
-        // with sides swapped.
+        // Under the right anchor the facade runs on the transpose with the
+        // budgets swapped: the start found there, flipped back, is a
+        // maximal solution of g under the original pair.
         let g = fixture();
         let t = g.transpose();
-        for k in 0..=2usize {
-            let a = initial_right_anchored(&g, k);
-            let b = initial_left_anchored(&t, k).transpose();
-            assert_eq!(a, b, "k = {k}");
+        for kp in [KPair::new(0, 1), KPair::new(1, 0), KPair::new(1, 2), KPair::new(2, 1)] {
+            let a = initial_arbitrary(&t, kp.transpose()).transpose();
+            assert!(is_maximal_k_biplex(&g, &a.left, &a.right, kp), "{kp:?}");
+            let b = initial_left_anchored(&t, kp.transpose()).transpose();
+            assert_eq!(b.left.len(), g.num_left() as usize, "{kp:?}");
+            assert!(is_maximal_k_biplex(&g, &b.left, &b.right, kp), "{kp:?}");
         }
     }
 }

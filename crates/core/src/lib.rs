@@ -42,11 +42,11 @@
 //!   algorithm picks which of the left-anchored, right-shrinking and
 //!   exclusion-strategy prunings are on. Its expansion step, the
 //!   `iThreeStep`, is one function shared with the parallel engine, and
-//!   the large-MBP size prunings run inside it.
+//!   the large-MBP size prunings run inside it. `bTraversal` also
+//!   enumerates maximal `(k_L, k_R)`-biplexes, the per-side budgets the
+//!   paper mentions after Definition 2.1 ([`KPair`]).
 //! * [`mod@enum_almost_sat`] — the `EnumAlmostSat` procedure (Section 4) in its
 //!   four refined variants plus the inflation-based baseline (Figure 12).
-//! * [`asym`] — asymmetric `(k_L, k_R)` budgets (the generalisation the
-//!   paper mentions after Definition 2.1).
 //! * [`parallel`] — a thread-parallel enumeration of the full MBP set (the
 //!   paper's stated future work).
 //! * [`dynamic`] — incremental maintenance of the maximal-k-biplex set
@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-pub mod asym;
 pub mod biplex;
 pub mod bruteforce;
 pub mod dynamic;
@@ -86,9 +85,8 @@ pub use api::{
     Algorithm, ApiError, Engine, EngineStats, Enumerator, QuerySpec, ReducedGraph, RunReport,
     SolutionStream, StopReason,
 };
-pub use asym::{is_asym_biplex, KPair};
 pub use bigraph::order::VertexOrder;
-pub use biplex::{is_k_biplex, is_maximal_k_biplex, Biplex, PartialBiplex};
+pub use biplex::{is_k_biplex, is_maximal_k_biplex, Biplex, KPair, PartialBiplex};
 pub use dynamic::{DynamicConfig, DynamicEnumerator, DynamicError, MaintainStats, UpdateDiff};
 pub use enum_almost_sat::{enum_almost_sat, AlmostSatStats, EnumKind};
 pub use json::{Json, JsonError};

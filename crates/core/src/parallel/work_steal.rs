@@ -34,7 +34,7 @@ use crate::sync::{hint, order, plock, thread, Mutex};
 use super::seen::ConcurrentSeenSet;
 use super::{expand_solution, resolved_threads, ParRuntime, ParallelStats};
 use crate::api::QuerySpec;
-use crate::biplex::Biplex;
+use crate::biplex::{Biplex, KPair};
 use crate::initial::initial_left_anchored;
 use crate::sink::Control;
 use crate::stats::TraversalStats;
@@ -117,7 +117,7 @@ fn worker(
     let step = ThreeStep {
         g,
         gt: None,
-        k: spec.k,
+        kp: KPair::symmetric(spec.k),
         right_shrinking: true,
         theta_right: spec.theta_right,
         cancel: rt.cancel,

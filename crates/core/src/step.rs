@@ -13,6 +13,11 @@
 //!    the extension to a maximal k-biplex of G, the exclusion check again,
 //!    and a claim in the caller's dedup target.
 //!
+//! The step takes per-side budgets `(k_L, k_R)`; every algorithm but
+//! bTraversal with a `k_pair` runs it with `k_L = k_R = k`. A right-side
+//! candidate (bTraversal) runs the left-oriented `EnumAlmostSat` on the
+//! transposed graph, with the flipped host and the swapped pair.
+//!
 //! The engines differ only in what surrounds the step. The sequential DFS
 //! ([`crate::traversal`]) passes the full exclusion set ℰ(H) and claims in
 //! a [`HashStore`](crate::store::HashStore); the work-stealer
@@ -24,7 +29,7 @@
 use bigraph::intersect::intersects;
 use bigraph::{BipartiteGraph, Side, VertexRef};
 
-use crate::biplex::{sorted_intersection_len, Biplex, PartialBiplex};
+use crate::biplex::{sorted_intersection_len, Biplex, KPair, PartialBiplex};
 use crate::enum_almost_sat::{enum_almost_sat, EnumKind};
 use crate::extend::{extend_to_maximal, right_extension_candidates, ExtendMode};
 use crate::parallel::is_raised;
@@ -40,8 +45,9 @@ pub(crate) struct ThreeStep<'a> {
     /// (bTraversal): the left-oriented `EnumAlmostSat` then runs on it with
     /// the flipped host.
     pub gt: Option<&'a BipartiteGraph>,
-    /// The `k` of the k-biplex definition.
-    pub k: usize,
+    /// The miss budgets: `k_L = k_R = k` of the k-biplex definition, or a
+    /// `k_pair`.
+    pub kp: KPair,
     /// Right-shrinking traversal (Section 3.4): keep only links whose local
     /// solution admits no right vertex of G, and extend on the left only.
     /// Off means both-side extension and no size pruning.
@@ -90,14 +96,14 @@ impl ThreeStep<'_> {
         C: FnMut(&Biplex) -> bool,
         N: FnMut(Biplex, &mut TraversalStats) -> Control,
     {
-        let (g, k) = (self.g, self.k);
+        let (g, kp) = (self.g, self.kp);
         // Almost-satisfying-graph pruning (Section 5): every solution
         // reached through v keeps v on its left side and, under
-        // right-shrinking, a right side within N(v, R_H) plus at most k
+        // right-shrinking, a right side within N(v, R_H) plus at most k_L
         // non-neighbours.
         if cand.side == Side::Left && self.theta_right > 0 && self.right_shrinking {
             let deg_in_r = sorted_intersection_len(g.left_neighbors(cand.id), host.right());
-            if deg_in_r + k < self.theta_right {
+            if deg_in_r + kp.left < self.theta_right {
                 stats.pruned_size += 1;
                 return Expansion::Pruned;
             }
@@ -105,20 +111,20 @@ impl ThreeStep<'_> {
         stats.almost_sat_graphs += 1;
 
         let flipped_host;
-        let (enum_graph, enum_host, flip) = match cand.side {
-            Side::Left => (g, host, false),
+        let (enum_graph, enum_kp, enum_host, flip) = match cand.side {
+            Side::Left => (g, kp, host, false),
             Side::Right => {
                 let Some(gt) = self.gt else {
                     unreachable!("the transpose is built when right candidates are enabled")
                 };
                 flipped_host = host.flipped();
-                (gt, &flipped_host, true)
+                (gt, kp.transpose(), &flipped_host, true)
             }
         };
 
         let mut stopped = false;
         let almost_stats =
-            enum_almost_sat(enum_graph, k, EnumKind::L2R2, enum_host, cand.id, |local: Biplex| {
+            enum_almost_sat(enum_graph, enum_kp, EnumKind::L2R2, enum_host, cand.id, |local| {
                 if stopped || self.cancelled() {
                     stopped = true;
                     return false;
@@ -149,14 +155,14 @@ impl ThreeStep<'_> {
                 // Right-shrinking traversal (Algorithm 2 line 7): discard the
                 // local solution if a right vertex of G outside it can be
                 // added.
-                if self.right_shrinking && exists_addable_right_outside(g, &partial, host, k) {
+                if self.right_shrinking && exists_addable_right_outside(g, &partial, host, kp) {
                     stats.pruned_right_shrinking += 1;
                     return true;
                 }
 
                 let mode =
                     if self.right_shrinking { ExtendMode::LeftOnly } else { ExtendMode::BothSides };
-                extend_to_maximal(g, &mut partial, k, mode);
+                extend_to_maximal(g, &mut partial, kp, mode);
                 let solution = partial.to_biplex();
 
                 // Exclusion on the extended solution: the extension may pull
@@ -188,29 +194,29 @@ impl ThreeStep<'_> {
 }
 
 /// `true` iff some right vertex of `G` outside both the local solution and
-/// the host solution can be added to `partial` while keeping the k-biplex
-/// property (the right-shrinking test of Algorithm 2 line 7; right vertices
-/// of the host outside the local solution need not be tested because the
-/// local solution is maximal within the almost-satisfying graph).
+/// the host solution can be added to `partial` within the budgets (the
+/// right-shrinking test of Algorithm 2 line 7; right vertices of the host
+/// outside the local solution need not be tested because the local
+/// solution is maximal within the almost-satisfying graph).
 fn exists_addable_right_outside(
     g: &BipartiteGraph,
     partial: &PartialBiplex,
     host: &PartialBiplex,
-    k: usize,
+    kp: KPair,
 ) -> bool {
     if g.num_right() as usize == partial.right().len() {
         return false;
     }
-    // A saturated left vertex (miss count = k) only tolerates additions
+    // A saturated left vertex (miss count = k_L) only tolerates additions
     // adjacent to it, so its adjacency list bounds the candidates.
-    let saturated = (0..partial.left().len()).find(|&i| partial.left_miss(i) as usize >= k);
+    let saturated = (0..partial.left().len()).find(|&i| partial.left_miss(i) as usize >= kp.left);
     match saturated {
         Some(i) => {
             let anchor = partial.left()[i];
             for &u in g.left_neighbors(anchor) {
                 if !partial.contains_right(u)
                     && !host.contains_right(u)
-                    && partial.can_add_right(g, u, k)
+                    && partial.can_add_right(g, u, kp)
                 {
                     return true;
                 }
@@ -218,26 +224,29 @@ fn exists_addable_right_outside(
             false
         }
         None => {
-            if partial.left().len() <= k {
-                // No left vertex is saturated and every left vertex tolerates
-                // at least |L| ≤ k misses, so *any* right vertex outside the
-                // local solution can be added — and one exists by the size
-                // check at the top of this function.
+            if partial.left().len() <= kp.right {
+                // No left vertex is saturated and a right vertex tolerates
+                // |L| ≤ k_R misses, so *any* right vertex outside the local
+                // solution can be added — and one exists by the size check
+                // at the top of this function.
                 true
             } else {
-                // A candidate misses |L| − hits ≤ k left vertices, and
+                // A candidate misses |L| − hits ≤ k_R left vertices, and
                 // every left vertex is below its budget, so each candidate
                 // outside both solutions can be added: the filter's count
                 // stands in for the intersection and the budget walk of
                 // `can_add_right`.
                 let l = partial.left().len();
-                right_extension_candidates(g, partial.left(), k).into_iter().any(|(u, hits)| {
-                    let outside = !partial.contains_right(u) && !host.contains_right(u);
-                    debug_assert!(
-                        !outside || partial.can_add_right_with_misses(g, u, l - hits as usize, k)
-                    );
-                    outside
-                })
+                right_extension_candidates(g, partial.left(), kp.right).into_iter().any(
+                    |(u, hits)| {
+                        let outside = !partial.contains_right(u) && !host.contains_right(u);
+                        debug_assert!(
+                            !outside
+                                || partial.can_add_right_with_misses(g, u, l - hits as usize, kp)
+                        );
+                        outside
+                    },
+                )
             }
         }
     }

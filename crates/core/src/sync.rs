@@ -17,15 +17,14 @@
 //!   simulation, and `modelsim::check` explores interleavings. Used by
 //!   `tests/model_check.rs` and the CI `analysis` job.
 //!
-//! # Ordering mutations
+//! # Ordering sites
 //!
 //! The `order!` macro (crate-internal) names a memory ordering *site*:
-//! `order!(SeqCst, "steal-pending")`. In production it expands to the
-//! literal ordering. Under the model backend it consults
-//! `modelsim::mutation_active` so a model run can *downgrade* one site to
-//! `Relaxed` at runtime and check whether the protocol still holds, without
-//! per-mutant rebuilds. Sites, and what such runs showed, are documented in
-//! DESIGN.md § "Memory-ordering arguments".
+//! `order!(SeqCst, "steal-pending")`. It expands to the literal ordering
+//! on both backends; the name is what `cargo xtask lint`'s
+//! `ordering-registry-drift` rule checks against the table of sites in
+//! DESIGN.md § "Memory-ordering arguments", which also records what the
+//! model checker showed about each site.
 
 // The model backend is only compiled when explicitly requested; forgetting
 // the feature while setting the cfg would otherwise produce confusing
@@ -69,27 +68,12 @@ pub mod hint {
     pub use modelsim::hint::spin_loop;
 }
 
-/// Names a memory-ordering site: `order!(SeqCst, "site-tag")`.
-///
-/// Expands to `Ordering::SeqCst` in production. Under the model backend the
-/// site can be downgraded to `Relaxed` by an active modelsim mutation, which
-/// checks whether the real code's protocol needs the stronger ordering.
-#[cfg(not(kbiplex_model))]
+/// Names a memory-ordering site: `order!(SeqCst, "site-tag")` expands to
+/// `Ordering::SeqCst` of the active backend. The tag documents the site and
+/// ties it to its argument in DESIGN.md.
 macro_rules! order {
     ($ord:ident, $site:literal) => {
         $crate::sync::atomic::Ordering::$ord
-    };
-}
-
-/// Model-backend [`order!`]: consults the modelsim mutation registry.
-#[cfg(kbiplex_model)]
-macro_rules! order {
-    ($ord:ident, $site:literal) => {
-        if ::modelsim::mutation_active($site) {
-            $crate::sync::atomic::Ordering::Relaxed
-        } else {
-            $crate::sync::atomic::Ordering::$ord
-        }
     };
 }
 

@@ -11,6 +11,12 @@
 //!   crate-private `rules` table), so the ablation variants of Figure 11
 //!   (`iTraversal-ES`, `iTraversal-ES-RS`) fall out of the same code path.
 //!
+//! bTraversal also enumerates maximal (k_L, k_R)-biplexes when the spec
+//! carries a `k_pair`: the same DFS and the same `iThreeStep` run with the
+//! pair in place of `k_L = k_R = k`. The left-anchored algorithms stay
+//! symmetric, since the paper proves their left-anchored, right-shrinking
+//! and exclusion arguments for a single k.
+//!
 //! The initial solution is a rule of the algorithm, not of the caller:
 //! the left-anchored algorithms start from `H0 = (L0, R)`, from which alone
 //! their traversal is complete, and bTraversal from an arbitrary maximal
@@ -32,7 +38,7 @@ use std::time::Instant;
 use bigraph::{BipartiteGraph, Side, VertexRef};
 
 use crate::api::{Algorithm, QuerySpec};
-use crate::biplex::{Biplex, PartialBiplex};
+use crate::biplex::{Biplex, KPair, PartialBiplex};
 use crate::initial::{initial_arbitrary, initial_left_anchored};
 use crate::sink::Control;
 use crate::stats::TraversalStats;
@@ -121,14 +127,13 @@ pub(crate) struct Rules {
     pub exclusion: bool,
 }
 
-/// The rules of a traversal-family algorithm.
+/// The rules of an algorithm.
 pub(crate) fn rules(algorithm: Algorithm) -> Rules {
     let (left_anchored, right_shrinking, exclusion) = match algorithm {
         Algorithm::ITraversal | Algorithm::Large => (true, true, true),
         Algorithm::ITraversalNoExclusion => (true, true, false),
         Algorithm::LeftAnchoredOnly => (true, false, false),
         Algorithm::BTraversal => (false, false, false),
-        Algorithm::Asym => unreachable!("not a traversal algorithm"),
     };
     Rules { left_anchored, right_shrinking, exclusion }
 }
@@ -148,6 +153,7 @@ pub(crate) fn traverse(
     emit: &dyn Fn(&Biplex) -> Control,
 ) -> TraversalStats {
     let rules = rules(spec.algorithm);
+    let kp = spec.k_pair.unwrap_or(KPair::symmetric(spec.k));
     // Right-side candidates (bTraversal) run the step on the transpose.
     let gt = if rules.left_anchored { None } else { Some(g.transpose()) };
     let mut engine = Engine {
@@ -155,7 +161,7 @@ pub(crate) fn traverse(
         step: ThreeStep {
             g,
             gt: gt.as_ref(),
-            k: spec.k,
+            kp,
             right_shrinking: rules.right_shrinking,
             theta_right: spec.theta_right,
             cancel,
@@ -170,11 +176,8 @@ pub(crate) fn traverse(
     };
     // The left-anchored traversal is complete only from H0 = (L0, R);
     // bTraversal reaches every solution from any one (Algorithm 1 line 1).
-    let initial = if rules.left_anchored {
-        initial_left_anchored(g, spec.k)
-    } else {
-        initial_arbitrary(g, spec.k)
-    };
+    let initial =
+        if rules.left_anchored { initial_left_anchored(g, kp) } else { initial_arbitrary(g, kp) };
     engine.run(initial);
     engine.stats
 }
@@ -632,6 +635,81 @@ mod tests {
             assert_eq!(got[0].left.len(), 4);
             assert_eq!(got[0].right.len(), 5);
         }
+    }
+
+    /// bTraversal under per-side budgets, sorted canonically.
+    fn collect_pair(g: &BipartiteGraph, kp: KPair) -> Vec<Biplex> {
+        run_sorted(Enumerator::new(g).algorithm(Algorithm::BTraversal).k_pair(kp))
+    }
+
+    #[test]
+    fn symmetric_budgets_match_the_symmetric_enumerator() {
+        for seed in 0..10u64 {
+            let g = random_graph(5, 5, 0.5, seed);
+            for k in 0..=2usize {
+                let sym = run_sorted(Enumerator::new(&g).k(k));
+                assert_eq!(collect_pair(&g, KPair::symmetric(k)), sym, "seed {seed} k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn asymmetric_budgets_match_brute_force() {
+        for seed in 0..12u64 {
+            let g = random_graph(4, 5, 0.5, seed);
+            for (kl, kr) in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)] {
+                let kp = KPair::new(kl, kr);
+                assert_eq!(collect_pair(&g, kp), brute_force_mbps(&g, kp), "seed {seed} {kp:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_reported_solution_is_a_maximal_asym_biplex() {
+        let g = random_graph(6, 6, 0.4, 42);
+        let kp = KPair::new(1, 2);
+        let all = collect_pair(&g, kp);
+        assert!(!all.is_empty());
+        for b in all {
+            assert!(crate::biplex::is_maximal_k_biplex(&g, &b.left, &b.right, kp));
+        }
+    }
+
+    #[test]
+    fn transposed_graph_swaps_budgets() {
+        let g = random_graph(5, 4, 0.5, 7);
+        let kp = KPair::new(1, 2);
+        let mut via_transpose: Vec<Biplex> = collect_pair(&g.transpose(), kp.transpose())
+            .into_iter()
+            .map(Biplex::transpose)
+            .collect();
+        via_transpose.sort();
+        assert_eq!(collect_pair(&g, kp), via_transpose);
+    }
+
+    #[test]
+    fn zero_budgets_enumerate_maximal_bicliques() {
+        // (0,0)-biplexes are exactly bicliques; every maximal one must be a
+        // maximal biclique (cross-check structure only, not the full set).
+        let g = random_graph(5, 5, 0.6, 3);
+        for b in collect_pair(&g, KPair::symmetric(0)) {
+            for &v in &b.left {
+                for &u in &b.right {
+                    assert!(g.has_edge(v, u));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_stop_via_sink() {
+        let g = random_graph(6, 6, 0.5, 9);
+        let kp = KPair::new(1, 2);
+        assert!(collect_pair(&g, kp).len() > 2);
+        let e = Enumerator::new(&g).algorithm(Algorithm::BTraversal).k_pair(kp).limit(2);
+        let (stats, count) = run_stats(e);
+        assert_eq!(count, 2);
+        assert!(stats.stopped_early);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 use std::time::Duration;
 
 use crate::api::{ApiError, EngineStats, QuerySpec, ReducedGraph, RunReport};
-use crate::asym::{AsymStats, KPair};
-use crate::biplex::Biplex;
+use crate::biplex::{Biplex, KPair};
 use crate::enum_almost_sat::AlmostSatStats;
 use crate::json::{obj, s, u, Json, JsonError};
 use crate::parallel::ParallelStats;
@@ -303,45 +302,13 @@ impl ParallelStats {
     }
 }
 
-impl AsymStats {
-    /// Encodes the counters as a flat JSON object.
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("solutions", u(self.solutions)),
-            ("almost_sat_graphs", u(self.almost_sat_graphs)),
-            ("local_solutions", u(self.local_solutions)),
-            ("links", u(self.links)),
-            ("stopped_early", Json::Bool(self.stopped_early)),
-        ])
-    }
-
-    /// Decodes counters written by [`AsymStats::to_json`].
-    pub fn from_json(doc: &Json) -> Result<AsymStats, JsonError> {
-        let get = |key: &str| -> Result<u64, JsonError> {
-            doc.get(key).map(|v| v.as_u64(key)).transpose().map(Option::unwrap_or_default)
-        };
-        Ok(AsymStats {
-            solutions: get("solutions")?,
-            almost_sat_graphs: get("almost_sat_graphs")?,
-            local_solutions: get("local_solutions")?,
-            links: get("links")?,
-            stopped_early: doc
-                .get("stopped_early")
-                .map(|v| v.as_bool("stopped_early"))
-                .transpose()?
-                .unwrap_or(false),
-        })
-    }
-}
-
 impl EngineStats {
-    /// Stable kind code of the variant (`"sequential"`, `"parallel"`,
-    /// `"asym"`). Pinned by `tests/api_surface.rs`.
+    /// Stable kind code of the variant (`"sequential"`, `"parallel"`).
+    /// Pinned by `tests/api_surface.rs`.
     pub fn kind(&self) -> &'static str {
         match self {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
-            EngineStats::Asym(_) => "asym",
         }
     }
 
@@ -350,7 +317,6 @@ impl EngineStats {
         let counters = match self {
             EngineStats::Sequential(stats) => stats.to_json(),
             EngineStats::Parallel(stats) => stats.to_json(),
-            EngineStats::Asym(stats) => stats.to_json(),
         };
         obj(vec![("kind", s(self.kind())), ("counters", counters)])
     }
@@ -366,7 +332,6 @@ impl EngineStats {
         match kind {
             "sequential" => Ok(EngineStats::Sequential(TraversalStats::from_json(counters?)?)),
             "parallel" => Ok(EngineStats::Parallel(ParallelStats::from_json(counters?)?)),
-            "asym" => Ok(EngineStats::Asym(AsymStats::from_json(counters?)?)),
             other => Err(JsonError(format!("engine stats: unknown kind {other:?}"))),
         }
     }
@@ -474,7 +439,7 @@ mod tests {
         let spec = QuerySpec {
             k: 2,
             k_pair: Some(KPair { left: 1, right: 3 }),
-            algorithm: Algorithm::Asym,
+            algorithm: Algorithm::BTraversal,
             engine: Engine::WorkSteal,
             order: bigraph::order::VertexOrder::Degeneracy,
             emit_mode: crate::traversal::EmitMode::Alternating,
@@ -503,9 +468,10 @@ mod tests {
     fn retired_engine_codes_and_scheduler_keys_are_rejected() {
         // The global-queue engine, the seen-set / steal-granularity knobs,
         // the kernel override, the stream buffer, the EnumAlmostSat
-        // variant, the core-reduction toggle, the arbitrary anchor and the
-        // brute-force algorithm are gone: a document naming them is an
-        // error, never a silent fallback to the defaults.
+        // variant, the core-reduction toggle, the arbitrary anchor, the
+        // brute-force algorithm and the separate asymmetric engine are
+        // gone: a document naming them is an error, never a silent
+        // fallback to the defaults.
         for doc in [
             r#"{"engine":"global"}"#,
             r#"{"engine":"global-queue"}"#,
@@ -520,9 +486,13 @@ mod tests {
             r#"{"anchor":"arbitrary"}"#,
             r#"{"algorithm":"brute-force"}"#,
             r#"{"algorithm":"oracle"}"#,
+            r#"{"algorithm":"asym"}"#,
         ] {
             assert!(QuerySpec::from_json_str(doc).is_err(), "{doc} must be rejected");
         }
+        // Reports of the retired engine's stats kind no longer decode.
+        let asym_stats = r#"{"kind":"asym","counters":{"solutions":1}}"#;
+        assert!(EngineStats::from_json(&Json::parse(asym_stats).unwrap()).is_err());
         let spec = QuerySpec::from_json_str(r#"{"engine":"steal"}"#).unwrap();
         assert_eq!(spec.engine, Engine::WorkSteal);
     }
@@ -533,7 +503,11 @@ mod tests {
             bigraph::BipartiteGraph::from_edges(3, 3, &[(0, 0), (1, 1), (2, 2), (0, 1)]).unwrap();
         for spec in [
             QuerySpec::default(),
-            QuerySpec { algorithm: Algorithm::Asym, ..QuerySpec::default() },
+            QuerySpec {
+                algorithm: Algorithm::BTraversal,
+                k_pair: Some(KPair::new(1, 2)),
+                ..QuerySpec::default()
+            },
             QuerySpec {
                 algorithm: Algorithm::Large,
                 theta_left: 1,
@@ -551,7 +525,6 @@ mod tests {
             assert_eq!(back.stats.kind(), report.stats.kind());
             match (&back.stats, &report.stats) {
                 (EngineStats::Sequential(a), EngineStats::Sequential(b)) => assert_eq!(a, b),
-                (EngineStats::Asym(a), EngineStats::Asym(b)) => assert_eq!(a, b),
                 (EngineStats::Parallel(a), EngineStats::Parallel(b)) => {
                     assert_eq!(a.solutions, b.solutions);
                     assert_eq!(a.threads, b.threads);

@@ -370,6 +370,7 @@ fn retired_engine_codes_and_scheduler_keys_get_bad_request() {
         r#"{"anchor":"arbitrary"}"#,
         r#"{"algorithm":"brute-force"}"#,
         r#"{"algorithm":"oracle"}"#,
+        r#"{"algorithm":"asym"}"#,
     ] {
         let request = format!(r#"{{"type":"query","id":3,"tenant":"t","spec":{spec}}}"#);
         write_frame(&mut raw, request.as_bytes()).expect("send query");

@@ -33,11 +33,11 @@ pub mod prelude {
         BipartiteBuilder, BipartiteGraph, DynamicBipartiteGraph, IncrementalCore, Side, VertexRef,
     };
     pub use kbiplex::{
-        is_asym_biplex, is_k_biplex, is_maximal_k_biplex, Algorithm, Anchor, ApiError, Biplex,
-        CollectSink, ConcurrentSeenSet, Control, CountingSink, DelayRecorder, DynamicConfig,
-        DynamicEnumerator, DynamicError, EmitMode, Engine, EngineStats, EnumKind, Enumerator, Json,
-        JsonError, KPair, MaintainStats, QuerySpec, RunReport, SolutionSink, SolutionStream,
-        StopReason, UpdateDiff, VertexOrder,
+        is_k_biplex, is_maximal_k_biplex, Algorithm, Anchor, ApiError, Biplex, CollectSink,
+        ConcurrentSeenSet, Control, CountingSink, DelayRecorder, DynamicConfig, DynamicEnumerator,
+        DynamicError, EmitMode, Engine, EngineStats, EnumKind, Enumerator, Json, JsonError, KPair,
+        MaintainStats, QuerySpec, RunReport, SolutionSink, SolutionStream, StopReason, UpdateDiff,
+        VertexOrder,
     };
 }
 

@@ -6,7 +6,6 @@
 use std::time::Duration;
 
 use mbpe::bigraph::gen::chung_lu::chung_lu_bipartite;
-use mbpe::kbiplex::asym::brute_force_asym_mbps;
 use mbpe::kbiplex::bruteforce::{brute_force_large_mbps, brute_force_mbps};
 use mbpe::prelude::*;
 
@@ -103,8 +102,8 @@ fn asym_and_brute_force_match_their_oracles() {
         let g = chung_lu(seed + 20);
         for (kl, kr) in [(1, 1), (1, 2), (2, 1)] {
             let kp = KPair::new(kl, kr);
-            let expected = brute_force_asym_mbps(&g, kp);
-            let got = facade(&Enumerator::new(&g).algorithm(Algorithm::Asym).k_pair(kp));
+            let expected = brute_force_mbps(&g, kp);
+            let got = facade(&Enumerator::new(&g).algorithm(Algorithm::BTraversal).k_pair(kp));
             assert_eq!(got, expected, "seed {seed} k=({kl},{kr})");
         }
         for k in 1..=2usize {
@@ -258,7 +257,7 @@ fn spec_round_trip_reproduces_the_run() {
     for e in [
         Enumerator::new(&g).k(1),
         Enumerator::new(&g).k(2).engine(Engine::WorkSteal).threads(3).limit(7),
-        Enumerator::new(&g).algorithm(Algorithm::Asym).k_pair(KPair::new(1, 2)),
+        Enumerator::new(&g).algorithm(Algorithm::BTraversal).k_pair(KPair::new(1, 2)),
         Enumerator::new(&g).k(1).algorithm(Algorithm::Large).thresholds(2, 2),
     ] {
         let spec = e.to_spec();

@@ -90,7 +90,6 @@ fn enums_are_exactly_the_snapshot() {
         Algorithm::LeftAnchoredOnly,
         Algorithm::BTraversal,
         Algorithm::Large,
-        Algorithm::Asym,
     ];
     for a in algorithms {
         let name = match a {
@@ -99,13 +98,13 @@ fn enums_are_exactly_the_snapshot() {
             Algorithm::LeftAnchoredOnly => "itraversal-es-rs",
             Algorithm::BTraversal => "btraversal",
             Algorithm::Large => "large",
-            Algorithm::Asym => "asym",
         };
         assert_eq!(a.to_string(), name);
         assert_eq!(name.parse::<Algorithm>().unwrap(), a);
     }
-    // The brute-force oracle is no facade algorithm: its codes are rejected.
-    for retired in ["brute-force", "oracle"] {
+    // The brute-force oracle is no facade algorithm, and per-side budgets
+    // ride on btraversal: the retired codes are rejected.
+    for retired in ["brute-force", "oracle", "asym"] {
         assert!(retired.parse::<Algorithm>().is_err(), "{retired}");
     }
 
@@ -183,17 +182,18 @@ fn engine_stats_kinds_are_the_snapshot() {
     let stats = [
         EngineStats::Sequential(kbiplex::TraversalStats::default()),
         EngineStats::Parallel(kbiplex::ParallelStats::default()),
-        EngineStats::Asym(kbiplex::asym::AsymStats::default()),
     ];
     for s in stats {
         let kind = match s {
             EngineStats::Sequential(_) => "sequential",
             EngineStats::Parallel(_) => "parallel",
-            EngineStats::Asym(_) => "asym",
         };
         assert_eq!(s.kind(), kind);
         assert_eq!(EngineStats::from_json(&s.to_json()).unwrap(), s);
     }
+    // The retired asym engine's kind no longer decodes.
+    let retired = Json::parse(r#"{"kind":"asym","counters":{}}"#).unwrap();
+    assert!(EngineStats::from_json(&retired).is_err());
 }
 
 /// Full-field pin of [`QuerySpec`]: adding, removing or retyping a field
@@ -251,7 +251,6 @@ fn report_shapes_are_the_snapshot() {
         EngineStats::Parallel(s) => {
             let _: kbiplex::ParallelStats = s;
         }
-        EngineStats::Asym(_) => {}
     }
     let ReducedGraph { left, right, edges } = reduced.expect("large runs report the reduction");
     let _: (u32, u32, u64) = (left, right, edges);

@@ -1,11 +1,10 @@
-//! Property-based tests (proptest) over the extension modules: asymmetric
+//! Property-based tests (proptest) over the extension modules: per-side
 //! budgets, the parallel engine and the extra on-disk formats.
 
 use mbpe::bigraph::formats::{
     read_adjacency, read_konect, sniff_format, write_adjacency, write_konect, Format,
 };
 use mbpe::bigraph::io::{read_edge_list, write_edge_list};
-use mbpe::kbiplex::asym::is_maximal_asym_biplex;
 use mbpe::prelude::*;
 use proptest::prelude::*;
 
@@ -14,10 +13,10 @@ fn enumerate_all(g: &BipartiteGraph, k: usize) -> Vec<Biplex> {
     Enumerator::new(g).k(k).collect().expect("valid facade configuration")
 }
 
-/// Canonically sorted asymmetric enumeration through the facade.
+/// Canonically sorted bTraversal under per-side budgets.
 fn collect_asym_mbps(g: &BipartiteGraph, kp: KPair) -> Vec<Biplex> {
     Enumerator::new(g)
-        .algorithm(Algorithm::Asym)
+        .algorithm(Algorithm::BTraversal)
         .k_pair(kp)
         .collect()
         .expect("valid facade configuration")
@@ -60,7 +59,7 @@ proptest! {
         prop_assert_eq!(parallel, sequential);
     }
 
-    /// Asymmetric enumeration is sound (every output is a maximal
+    /// Pair enumeration is sound (every output is a maximal
     /// (k_L, k_R)-biplex) and reduces to the symmetric algorithm when the
     /// budgets coincide.
     #[test]
@@ -68,8 +67,8 @@ proptest! {
         let kp = KPair::new(kl, kr);
         let solutions = collect_asym_mbps(&g, kp);
         for b in &solutions {
-            prop_assert!(is_maximal_asym_biplex(&g, &b.left, &b.right, kp));
-            prop_assert!(is_asym_biplex(&g, &b.left, &b.right, kp));
+            prop_assert!(is_maximal_k_biplex(&g, &b.left, &b.right, kp));
+            prop_assert!(is_k_biplex(&g, &b.left, &b.right, kp));
         }
         // No duplicates.
         let mut dedup = solutions.clone();

@@ -16,7 +16,6 @@ fn algorithm_strategy() -> impl Strategy<Value = Algorithm> {
         Just(Algorithm::LeftAnchoredOnly),
         Just(Algorithm::BTraversal),
         Just(Algorithm::Large),
-        Just(Algorithm::Asym),
     ]
 }
 

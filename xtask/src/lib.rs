@@ -8,7 +8,7 @@
 //!   its memory ordering (see DESIGN.md "Memory-ordering arguments").
 //! - **`relaxed-allowlist`** — `Relaxed` orderings may appear only in the
 //!   allowlisted files whose Relaxed sites have been argued through
-//!   (cancel flags, statistics counters, the `order!` macro itself).
+//!   (the cancel flags).
 //! - **`forbid-unsafe`** — every crate root starts with
 //!   `#![forbid(unsafe_code)]`, as defence-in-depth on top of the
 //!   workspace-level `unsafe_code = "forbid"` lint.
@@ -102,7 +102,6 @@ pub struct LintRun {
 /// Files allowed to mention `Relaxed` in code: each has per-site
 /// `// ordering:` arguments recorded in DESIGN.md.
 const RELAXED_ALLOWLIST: &[&str] = &[
-    "crates/core/src/sync.rs",         // the order! macro's mutation arm
     "crates/core/src/parallel/mod.rs", // cancel-flag polls
     "crates/core/src/api.rs",          // cancel/undelivered advisory flags
 ];
